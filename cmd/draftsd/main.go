@@ -77,7 +77,6 @@ type options struct {
 	maxConcurrent int
 	maxQueue      int
 	queueWait     time.Duration
-	adviseBudget  time.Duration
 	maxStaleness  time.Duration
 
 	tenantsFile string  // tenant registry JSON (empty = anonymous service)
@@ -110,7 +109,6 @@ func main() {
 	flag.IntVar(&opts.maxConcurrent, "max-concurrent", 256, "in-flight /v1 request cap; 0 disables admission control")
 	flag.IntVar(&opts.maxQueue, "max-queue", 0, "admission wait-queue depth (0 = same as -max-concurrent)")
 	flag.DurationVar(&opts.queueWait, "queue-wait", 0, "max time a request may queue for admission (0 = 1s)")
-	flag.DurationVar(&opts.adviseBudget, "advise-budget", 2*time.Second, "per-request compute budget for /v1/advise scans")
 	flag.DurationVar(&opts.maxStaleness, "max-staleness", 2*time.Hour, "oldest tables the daemon will serve; beyond this /v1 reads fail 503")
 	flag.StringVar(&opts.tenantsFile, "tenants-file", "", "tenant registry JSON; when set every /v1 request must present a registered API key")
 	flag.Float64Var(&opts.tenantRPS, "tenant-rps", tenant.DefaultRPS, "default steady request rate per weight-1 tenant (requests/second)")
@@ -206,7 +204,6 @@ func run(logger *slog.Logger, opts options) error {
 		MaxConcurrent:   opts.maxConcurrent,
 		MaxQueue:        opts.maxQueue,
 		QueueWait:       opts.queueWait,
-		AdviseBudget:    opts.adviseBudget,
 		MaxStaleness:    opts.maxStaleness,
 		Tracer:          tracer,
 		OnEpoch:         shipper.Publish,

@@ -60,9 +60,6 @@ func TestMembershipPollBuildsRing(t *testing.T) {
 	if ring.Len() != 2 {
 		t.Fatalf("ring has %d members, want 2 (writer + replica): %v", ring.Len(), ring.Members())
 	}
-	if url, ok := m.WriterURL(); !ok || url != writer.ts.URL {
-		t.Fatalf("WriterURL = %q, %v", url, ok)
-	}
 	healthy := 0
 	for _, p := range m.Peers() {
 		if p.Healthy {
@@ -171,6 +168,25 @@ func TestRouterPlacementMatchesClient(t *testing.T) {
 			t.Fatalf("request %d served by %q, want %q", i, served, wantBody)
 		}
 	}
+
+	// Advise is keyed by its combo too, so it follows the combo's ring
+	// owner — the replica's combos included — instead of pinning the
+	// writer: every node answers advise from its installed epoch.
+	for i := 0; i < 64; i++ {
+		combo := fmt.Sprintf("zone=us-east-1b&type=c%d.large", i)
+		key := RouteKey("/v1/advise", combo+"&duration=2h")
+		if key != RouteKey("/v1/predictions", combo) {
+			t.Fatalf("advise key %q differs from the combo's predictions key", key)
+		}
+		if owner, _ := m.Ring().Lookup(key); owner != b.ts.URL {
+			continue
+		}
+		if code, _, served := routerGet(t, ts.URL, "/v1/advise?"+combo+"&duration=2h"); code != http.StatusOK || served != "node-b" {
+			t.Fatalf("advise for %s served by %q (status %d), want its owner node-b", key, served, code)
+		}
+		return
+	}
+	t.Fatal("no probed combo is owned by the replica")
 }
 
 func TestRouterFailsOverOnRetryableStatus(t *testing.T) {
@@ -207,9 +223,17 @@ func TestRouterFailsOverOnRetryableStatus(t *testing.T) {
 		t.Fatalf("exhausted ring answered %d, want relayed 503", code)
 	}
 
+	// The writer dies at the transport: advise still answers, from the
+	// replica, whichever node owns the combo.
+	b.code.Store(0)
+	a.ts.Close()
+	code, _, served = routerGet(t, ts.URL, "/v1/advise?zone=us-east-1b&type=c4.large&duration=2h")
+	if code != http.StatusOK || served != b.body {
+		t.Fatalf("advise with the writer down: status %d served by %q, want 200 from %q", code, served, b.body)
+	}
+
 	// Every candidate unreachable at the transport: the router's own 502
 	// envelope with the retryable "overloaded" code.
-	a.ts.Close()
 	b.ts.Close()
 	code, body, _ := routerGet(t, ts.URL, path)
 	if code != http.StatusBadGateway {
@@ -222,24 +246,6 @@ func TestRouterFailsOverOnRetryableStatus(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(body), &env); err != nil || env.Error.Code != "overloaded" {
 		t.Fatalf("envelope %q (err %v)", body, err)
-	}
-}
-
-func TestRouterAdviseGoesToWriter(t *testing.T) {
-	writer := newFakeNode(t, "writer", 3, "the-writer")
-	replica := newFakeNode(t, "replica", 3, "a-replica")
-	m, err := NewMembership(MembershipConfig{Peers: []string{replica.ts.URL, writer.ts.URL}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Poll(t.Context())
-	ts := newTestRouter(t, m)
-
-	for i := 0; i < 3; i++ {
-		code, _, served := routerGet(t, ts.URL, "/v1/advise?zone=z&type=t&duration=2h")
-		if code != http.StatusOK || served != "the-writer" {
-			t.Fatalf("advise served by %q (status %d), want the writer", served, code)
-		}
 	}
 }
 

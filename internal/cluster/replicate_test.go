@@ -457,7 +457,7 @@ func TestInstallEpochAcceptsWriterRestart(t *testing.T) {
 
 	// The writer restarts from its snapshot and republishes the identical
 	// content under a reset counter: same asOf, same ETag, lower seq.
-	renumbered, err := service.NewEpoch(2, frameT0.Add(5*time.Minute), combos, blobsFor(5))
+	renumbered, err := service.NewEpochFull(2, frameT0.Add(5*time.Minute), combos, blobsFor(5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +472,7 @@ func TestInstallEpochAcceptsWriterRestart(t *testing.T) {
 	if err := srv.InstallEpoch(testEpoch(t, 1, blobsFor(1))); err == nil {
 		t.Error("older-content epoch accepted")
 	}
-	dup, err := service.NewEpoch(2, frameT0.Add(5*time.Minute), combos, blobsFor(5))
+	dup, err := service.NewEpochFull(2, frameT0.Add(5*time.Minute), combos, blobsFor(5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +481,7 @@ func TestInstallEpochAcceptsWriterRestart(t *testing.T) {
 	}
 
 	// A restarted writer's genuinely fresh refresh: seq 1 but newer asOf.
-	fresh, err := service.NewEpoch(1, frameT0.Add(time.Hour), combos, blobsFor(6))
+	fresh, err := service.NewEpochFull(1, frameT0.Add(time.Hour), combos, blobsFor(6), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,8 +519,8 @@ func TestReplicateSurvivesWriterRestart(t *testing.T) {
 	// Writer restarts behind the same URL: empty shipper, first epoch
 	// renumbered to 1 with content from a newer refresh.
 	sh2 := NewShipper(ShipperConfig{MaxWait: 10 * time.Millisecond})
-	fresh, err := service.NewEpoch(1, frameT0.Add(time.Hour),
-		[]byte(`{"combos":["us-east-1a/c4.large"]}`), blobsFor(6))
+	fresh, err := service.NewEpochFull(1, frameT0.Add(time.Hour),
+		[]byte(`{"combos":["us-east-1a/c4.large"]}`), blobsFor(6), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,8 +50,9 @@ type AdviseSurface struct {
 
 // maxSurfaceEntries bounds surface construction against pathological
 // parameters (a TableRatio barely above 1 could enumerate every tick up to
-// the ceiling). Surface construction bails past it and callers fall back to
-// the scan path; default parameters stay orders of magnitude below.
+// the ceiling). Surface construction bails past it and the combo gets no
+// surface (the service then answers its advise requests with 404);
+// default parameters stay orders of magnitude below.
 const maxSurfaceEntries = 1 << 16
 
 // Surface materializes the AdviseContext escalation for the predictor's

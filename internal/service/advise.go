@@ -8,17 +8,15 @@ import (
 	"time"
 
 	"github.com/drafts-go/drafts/internal/core"
-	"github.com/drafts-go/drafts/internal/spot"
 )
 
-// The advise fast path answers /v1/advise from the epoch's precomputed
-// surfaces: a query substring parse, one map lookup, an O(1) grid snap (or
-// an O(log n) refinement for off-grid durations), and a pooled-buffer
-// write — no predictor scan, no deadline, no allocation. Requests the fast
-// parse cannot serve (account mapping, escaped queries, probability levels
-// without a surface) fall back to the scan path, which preserves the
-// original semantics and bytes exactly; TestAdviseSurfaceScanEquivalence
-// holds the two paths byte-identical over randomized trials.
+// /v1/advise answers from the epoch's precomputed surfaces: the combo
+// resolver, one map lookup, an O(1) grid snap (or an O(log n) refinement
+// for off-grid durations), and a pooled-buffer write — no predictor scan,
+// no deadline, no allocation. Writer and replica answer from the same
+// surfaces, so they answer identically; the predictor scan survives only
+// as MarshalHandler's reference oracle, and TestAdviseSurfaceScanEquivalence
+// holds the two byte-identical over randomized trials.
 
 // quoteBuf is the pooled response-assembly buffer for the advise fast
 // path. Quotes are ~150 bytes; after warm-up the pooled capacity sticks
@@ -32,8 +30,7 @@ var quoteBufPool = sync.Pool{New: func() any { return &quoteBuf{} }}
 // plainJSONSafe reports whether s encodes into a JSON string verbatim
 // under encoding/json's rules: printable ASCII with nothing to escape
 // (including the <, >, & that json.Encoder HTML-escapes). Anything else
-// falls back to the marshalling scan path so fast-path bytes stay
-// identical to it.
+// is rendered through encoding/json so the bytes stay identical to it.
 //
 //drafts:nonalloc
 func plainJSONSafe(s string) bool {
@@ -67,88 +64,69 @@ func appendJSONFloat(b []byte, f float64) []byte {
 	return b
 }
 
-// adviseFast serves /v1/advise from the installed surfaces when the
-// request is fast-parseable and a surface covers it, reporting whether it
-// handled the request. The response bytes — success quote, staleness
-// refusal, and cannot-guarantee refusal alike — are identical to what the
-// scan path would produce over the same epoch.
+// handleAdvise answers the user question directly: the smallest bid that
+// guarantees the requested duration, escalating past the published table
+// span when necessary. The response bytes — success quote, staleness
+// refusal, cannot-guarantee refusal and every error alike — are identical
+// to what the reference scan produces over the same tables.
 //
 //drafts:nonalloc
-func (s *Server) adviseFast(w http.ResponseWriter, r *http.Request) bool {
-	et := s.blobs.Load()
-	if et == nil || len(et.surfaces) == 0 {
-		return false
-	}
-	q := r.URL.RawQuery
-	if !fastQuery(q) {
-		return false
-	}
-	if _, acct := rawQueryValue(q, "account"); acct {
-		return false
-	}
-	zone, _ := rawQueryValue(q, "zone")
-	typ, _ := rawQueryValue(q, "type")
-	durStr, _ := rawQueryValue(q, "duration")
-	if zone == "" || typ == "" || durStr == "" {
-		return false
-	}
-	if !plainJSONSafe(zone) || !plainJSONSafe(typ) {
-		return false
-	}
-	prob, hasProb := rawQueryValue(q, "probability")
-	if !hasProb {
-		prob = defaultProbKey
-	}
-	// An account-mapped tenant asks in its obfuscated namespace: translate
-	// the visible zone to the physical one for the surface lookup, and
-	// render the quote back under the visible name. An unmapped account
-	// sees the canonical namespace (matching resolveCombo's lenient
-	// fallback); an unknown visible zone falls to the scan path, which
-	// renders the authoritative error.
-	lookupZone := zone
-	if tn := tenantOf(w); tn != nil && tn.Account != "" {
-		if m, found := s.cfg.AccountMappings[tn.Account]; found {
-			phys, found := m[spot.Zone(zone)]
-			if !found {
-				return false
-			}
-			lookupZone = string(phys)
-		}
-	}
-	surf, ok := et.lookupSurface(lookupZone, typ, prob)
+func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
+	c, ok := s.resolveCombo(w, r)
 	if !ok {
-		return false
+		return
 	}
-	d, err := time.ParseDuration(durStr)
-	if err != nil || d <= 0 {
-		// Let the scan path render the invalid-duration error.
-		return false
+	d, ok := parseAdviseDuration(w, c.dur)
+	if !ok {
+		return
+	}
+	et := s.blobs.Load()
+	surf, found := et.surface(c)
+	if !found {
+		writeNotFound(w, "predictor", c)
+		return
 	}
 	if !s.checkStaleness(w, et.asOf) {
-		return true
+		return
 	}
 	tr := traceOf(w)
 	sp := tr.StartSpan("surface.lookup")
 	quote, ok := surf.Lookup(d)
 	sp.End()
 	if !ok {
-		// The refusal names the physical combo, matching the scan path's
-		// rendering byte for byte.
-		s.writeAdviseRefusal(w, d, lookupZone, typ, surf)
-		return true
+		writeAdviseRefusal(w, d, c, surf)
+		return
 	}
 	wsp := tr.StartSpan("surface.write")
-	s.writeAdviseQuote(w, zone, typ, quote)
+	writeAdviseQuote(w, c.visible, c.typ, quote)
 	wsp.End()
-	return true
+}
+
+// parseAdviseDuration validates the duration parameter, writing the 400
+// itself.
+func parseAdviseDuration(w http.ResponseWriter, durStr string) (time.Duration, bool) {
+	if durStr == "" {
+		writeErr(w, http.StatusBadRequest, codeInvalidArgument, "duration is required (e.g. 2h30m)")
+		return 0, false
+	}
+	d, err := time.ParseDuration(durStr)
+	if err != nil || d <= 0 {
+		writeErr(w, http.StatusBadRequest, codeInvalidArgument, "invalid duration %q", durStr)
+		return 0, false
+	}
+	return d, true
 }
 
 // writeAdviseQuote renders the QuoteJSON success body from a pooled
-// buffer, byte-identical to writeJSON(w, 200, QuoteJSON{...}) for the
-// plain-JSON-safe strings the fast path admits.
+// buffer, byte-identical to writeJSON(w, 200, QuoteJSON{...}); names that
+// need JSON escaping take encoding/json itself.
 //
 //drafts:nonalloc
-func (s *Server) writeAdviseQuote(w http.ResponseWriter, zone, typ string, q core.Quote) {
+func writeAdviseQuote(w http.ResponseWriter, zone, typ string, q core.Quote) {
+	if !plainJSONSafe(zone) || !plainJSONSafe(typ) {
+		writeQuoteJSON(w, zone, typ, q)
+		return
+	}
 	bb := quoteBufPool.Get().(*quoteBuf)
 	b := bb.b[:0]
 	b = append(b, `{"zone":"`...)
@@ -170,10 +148,16 @@ func (s *Server) writeAdviseQuote(w http.ResponseWriter, zone, typ string, q cor
 	quoteBufPool.Put(bb)
 }
 
+// writeQuoteJSON is writeAdviseQuote's rendering for names that need
+// escaping.
+func writeQuoteJSON(w http.ResponseWriter, zone, typ string, q core.Quote) {
+	writeJSON(w, http.StatusOK, QuoteJSON{Zone: zone, InstanceType: typ, Probability: q.Probability,
+		Bid: q.Bid, DurationSeconds: q.Duration.Seconds()})
+}
+
 // writeAdviseRefusal renders the cannot-guarantee refusal for a surface
-// miss. Kept off the annotated fast path: refusals are cold, and the
-// variadic error rendering may allocate.
-func (s *Server) writeAdviseRefusal(w http.ResponseWriter, d time.Duration, zone, typ string, surf *core.AdviseSurface) {
+// miss; it names the physical combo, as the scan does.
+func writeAdviseRefusal(w http.ResponseWriter, d time.Duration, c comboReq, surf *core.AdviseSurface) {
 	writeErr(w, http.StatusConflict, codeNotFound, "cannot guarantee %v on %s: %v",
-		d, surfaceComboString(zone, typ), surf.CannotGuarantee(d))
+		d, c.combo(), surf.CannotGuarantee(d))
 }

@@ -60,34 +60,36 @@ func TestAdviseSurfaceScanEquivalence(t *testing.T) {
 	}
 }
 
-// TestAdviseFastPathSpellings pins the request spellings that must take
-// (or decline) the fast path while staying byte-identical to the scan:
-// default probability, non-canonical probability spellings, unknown
-// combos, invalid durations, and the account parameter (which forces the
-// scan for zone deobfuscation).
+// TestAdviseFastPathSpellings pins request spellings on /v1/advise: the
+// writer's and a replica's surface path must answer each exactly as the
+// reference scan does — status, headers and bytes — across default and
+// non-canonical probabilities, escaped zones, unknown combos, invalid or
+// missing durations, and the account parameter.
 func TestAdviseFastPathSpellings(t *testing.T) {
 	srv := testServer(t)
-	fast := srv.Handler()
-	scan := srv.MarshalHandler()
-	targets := []string{
-		"/v1/advise?zone=us-east-1b&type=c4.large&duration=1h",                    // default probability
-		"/v1/advise?zone=us-east-1b&type=c4.large&probability=0.990&duration=1h",  // non-canonical prob
-		"/v1/advise?zone=us-east-1%62&type=c4.large&probability=0.99&duration=1h", // escaped -> slow parse
-		"/v1/advise?zone=nowhere-1x&type=c4.large&probability=0.99&duration=1h",   // 404 on both
-		"/v1/advise?zone=us-east-1b&type=c4.large&probability=0.5&duration=1h",    // unsupported level
-		"/v1/advise?zone=us-east-1b&type=c4.large&probability=2&duration=1h",      // 400 on both
-		"/v1/advise?zone=us-east-1b&type=c4.large&duration=bogus",                 // 400 on both
-		"/v1/advise?zone=us-east-1b&type=c4.large&duration=-2h",                   // 400 on both
-		"/v1/advise?zone=us-east-1b&type=c4.large",                                // missing duration
-		"/v1/advise?zone=us-east-1b&type=c4.large&duration=1h&account=acct-1",     // account -> scan
+	handlers := equivalenceHandlers(t, srv)
+	for _, target := range adviseSpellings {
+		checkSameResponses(t, target, nil, handlers)
 	}
-	for _, target := range targets {
-		fastCode, _, fastBody := getBody(t, fast, target)
-		scanCode, _, scanBody := getBody(t, scan, target)
-		if fastCode != scanCode || !bytes.Equal(fastBody, scanBody) {
-			t.Errorf("%s:\nfast: %d %s\nscan: %d %s", target, fastCode, fastBody, scanCode, scanBody)
-		}
-	}
+}
+
+// adviseSpellings are TestAdviseFastPathSpellings' targets; they also seed
+// FuzzRawParams.
+var adviseSpellings = []string{
+	"/v1/advise?zone=us-east-1b&type=c4.large&duration=1h",                    // default probability
+	"/v1/advise?zone=us-east-1b&type=c4.large&probability=0.990&duration=1h",  // non-canonical prob
+	"/v1/advise?zone=us-east-1%62&type=c4.large&probability=0.99&duration=1h", // escaped -> url.ParseQuery
+	"/v1/advise?zone=us%2Deast-1b&type=c4.large&probability=0.99&duration=1h", // escaped dash
+	"/v1/advise?zone=us-east-1b;x&type=c4.large&duration=1h",                  // ';' pair dropped -> 400
+	"/v1/advise?zone=us-east-1b;x&zone=us-east-1b&type=c4.large&duration=1h",  // ';' pair dropped -> 200
+	"/v1/advise?zone=nowhere-1x&type=c4.large&probability=0.99&duration=1h",   // 404
+	"/v1/advise?zone=us-east-1b&type=c4.large&probability=0.5&duration=1h",    // unsupported level
+	"/v1/advise?zone=us-east-1b&type=c4.large&probability=2&duration=1h",      // 400
+	"/v1/advise?zone=us-east-1b&type=c4.large&duration=bogus",                 // 400
+	"/v1/advise?zone=us-east-1b&type=c4.large&duration=-2h",                   // 400
+	"/v1/advise?zone=us-east-1b&type=c4.large",                                // missing duration
+	"/v1/advise?zone=us-east-1b&type=c4.large&duration=20000h",                // refusal
+	"/v1/advise?zone=us-east-1b&type=c4.large&duration=1h&account=acct-1",     // unmapped account -> 403
 }
 
 // TestAdviseFastZeroAllocs extends the serving zero-allocation contract

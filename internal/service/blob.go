@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,13 +19,16 @@ import (
 	"github.com/drafts-go/drafts/internal/trace"
 )
 
-// The serving hot path is allocation-free: every bid table is JSON-encoded
-// once per refresh into an immutable encodedTables value that the handlers
-// read through an atomic pointer. A cached GET is then a substring scan of
-// the raw query, one map lookup, two preallocated header writes, and a
-// single w.Write of the stored blob — no per-request marshalling, no
-// url.Values, no []byte churn. The zero-allocation property is enforced by
-// TestCachedGetZeroAllocs via testing.AllocsPerRun.
+// Every /v1 read answers from the installed epoch: each bid table is
+// JSON-encoded once per refresh into an immutable encodedTables value that
+// the handlers read through an atomic pointer. A cached GET is then a
+// substring scan of the raw query, one map lookup, two preallocated header
+// writes, and a single w.Write of the stored blob — no per-request
+// marshalling, no url.Values, no []byte churn. The zero-allocation
+// property is enforced by TestCachedGetZeroAllocs via testing.AllocsPerRun.
+// Writer and replica run this same code over the same bytes; the
+// marshal-per-request handlers below survive only as the reference oracle
+// MarshalHandler exposes to the equivalence tests and benchmarks.
 
 // maxBatchCombos caps how many combos one /v1/tables request may ask for,
 // bounding response size and validation work.
@@ -42,6 +46,7 @@ var (
 	openBracket  = []byte("[")
 	closeBracket = []byte("]\n")
 	comma        = []byte(",")
+	emptyList    = []byte("[]\n")
 )
 
 // blobKey addresses one pre-encoded table by the exact strings a request
@@ -61,23 +66,21 @@ type encodedTables struct {
 	etagH  []string // preallocated header value: []string{etag}
 	tables map[blobKey][]byte
 	combos []byte // pre-encoded /v1/combos response body (no trailing newline)
-	bytes  int    // total pre-encoded payload bytes, for the gauge
+	bytes  int    // total pre-encoded payload bytes, views excluded
 
-	// surfaces holds the precomputed advise surfaces (surface.go), nil on
-	// epochs built without predictors (legacy NewEpoch wire rebuilds);
-	// fleet indexes them per probability spelling for /v1/fleet. Advise
-	// requests on a surface-less epoch fall back to the scan path.
+	// surfaces holds the precomputed advise surfaces (surface.go); fleet
+	// indexes them per probability spelling for /v1/fleet. A table whose
+	// predictor could not produce a surface has none, and /v1/advise
+	// answers 404 for it on every node alike.
 	surfaces map[blobKey]*surfaceEntry
 	fleet    map[string][]fleetEntry
 
-	// views holds the per-permutation-class tenant variants of every table
-	// blob: the same body with the zone field renamed to each sibling zone
-	// the physical zone could appear as under some account's obfuscation
-	// mapping. An authenticated tenant's cached GET is then one mapping
-	// lookup plus one views lookup — no per-request rewrite, no
-	// allocation. Nil unless the server has account-mapped tenants
-	// (buildViews); requests views cannot serve fall back to the marshal
-	// path.
+	// views holds the renamed variants of table blobs for account-mapped
+	// zone names: the same body with the zone field renamed to each other
+	// name some account sees the physical zone under (attachViews). A
+	// mapped tenant's cached GET is then one mapping lookup plus one views
+	// lookup — no per-request rewrite, no allocation. Identity names need
+	// no view: they are served the table itself.
 	views map[viewKey][]byte
 
 	// combosViews holds the per-account /v1/combos listing with every
@@ -85,14 +88,18 @@ type encodedTables struct {
 	// in that namespace, so a mapped tenant's combo discovery round-trips
 	// into its /v1/predictions and /v1/tables requests. Keyed by account;
 	// accounts whose mapping is the identity over the served zones alias
-	// the canonical body. Built alongside views.
+	// the canonical body.
 	combosViews map[string][]byte
+	viewBytes   int // payload bytes of views and combosViews
 }
 
-// viewKey addresses one tenant-view variant: the physical table identity
-// plus the visible zone name the body answers under. The physical zone is
-// part of the key because two accounts may both see "us-east-1b" while
-// meaning different physical zones.
+// size is the epoch's total pre-encoded payload, views included.
+func (et *encodedTables) size() int { return et.bytes + et.viewBytes }
+
+// viewKey addresses one renamed table: the physical table identity plus
+// the visible zone name the body answers under. The physical zone is part
+// of the key because two accounts may both see "us-east-1b" while meaning
+// different physical zones.
 type viewKey struct {
 	phys, visible, typ, prob string
 }
@@ -145,12 +152,7 @@ func encodeTables(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Pr
 	for c := range seen {
 		list = append(list, comboJSON{Zone: string(c.Zone), InstanceType: string(c.Type)})
 	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].Zone != list[j].Zone {
-			return list[i].Zone < list[j].Zone
-		}
-		return list[i].InstanceType < list[j].InstanceType
-	})
+	sortCombos(list)
 	combos, err := json.Marshal(list)
 	if err != nil {
 		return nil, fmt.Errorf("service: encoding combo list: %w", err)
@@ -164,65 +166,65 @@ func encodeTables(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Pr
 	return et, nil
 }
 
-// zoneFieldPrefix is how every table body begins: Zone is TableJSON's
-// first field, which is what lets buildViews rename it by prefix
-// replacement without reparsing the JSON.
-const zoneFieldPrefix = `{"zone":"`
-
-// buildViews precomputes the tenant-view variants of every table blob: for
-// each physical zone, one body per sibling zone in its region with the
-// zone field renamed (the identity variant aliases the original bytes).
-// Obfuscation mappings are region-preserving bijections, so the sibling
-// set covers every name any account could address the table by; the
-// blowup is bounded by the region's zone count (<= 5). Renamed bodies are
-// byte-identical to what the marshal path produces for the same request —
-// TestTenantViewMatchesMarshal holds the two paths together.
-func (et *encodedTables) buildViews() {
-	zones := make(map[string][]spot.Zone) // region -> sibling zones, cached
-	views := make(map[viewKey][]byte, 4*len(et.tables))
-	for k, body := range et.tables {
-		region := string(spot.Zone(k.zone).Region())
-		siblings, ok := zones[region]
-		if !ok {
-			siblings = spot.ZonesOf(spot.Region(region))
-			zones[region] = siblings
+// sortCombos orders a combo listing by (zone, type), the order every
+// /v1/combos body uses.
+func sortCombos(list []comboJSON) {
+	sort.Slice(list, func(i, j int) bool {
+		if list[i].Zone != list[j].Zone {
+			return list[i].Zone < list[j].Zone
 		}
-		for _, vis := range siblings {
-			vk := viewKey{phys: k.zone, visible: string(vis), typ: k.typ, prob: k.prob}
-			if string(vis) == k.zone {
-				views[vk] = body
-				continue
-			}
-			renamed := bytes.Replace(body,
-				[]byte(zoneFieldPrefix+k.zone+`"`),
-				[]byte(zoneFieldPrefix+string(vis)+`"`), 1)
-			views[vk] = renamed
-			et.bytes += len(renamed)
-		}
-	}
-	et.views = views
+		return list[i].InstanceType < list[j].InstanceType
+	})
 }
 
-// buildCombosViews precomputes each mapped account's /v1/combos body: the
-// served combo list with physical zones renamed to the account's visible
-// names (the inverse of its visible->physical mapping) and re-sorted in
-// the visible namespace, so a mapped tenant's combo discovery round-trips
-// into its /v1/predictions and /v1/tables requests. Accounts whose
-// renaming is the identity over the served zones alias the canonical body.
-func (et *encodedTables) buildCombosViews(mappings map[string]obfuscate.Mapping) {
+// zoneField is how every table body begins: Zone is TableJSON's first
+// field, which is what lets attachViews rename it by prefix replacement
+// without reparsing the JSON. The name is encoded exactly as the marshal
+// path encodes it.
+func zoneField(zone string) []byte {
+	name, _ := json.Marshal(zone)
+	return append([]byte(`{"zone":`), name...)
+}
+
+// attachViews derives the epoch's account views from this node's own
+// mappings, replacing any it carried: every table whose physical zone
+// some account sees under another name gets one renamed body per such
+// name, and every mapped account gets its own combo listing. Views are
+// derived data — the epoch checksum excludes them — so writer and replica
+// each build them from their own configuration. The blowup is bounded by
+// the distinct (visible, physical) pairs across all mappings.
+func (et *encodedTables) attachViews(mappings map[string]obfuscate.Mapping) {
+	et.views, et.combosViews, et.viewBytes = nil, nil, 0
 	if len(mappings) == 0 {
 		return
+	}
+	aliases := make(map[string]map[string]bool) // physical zone -> other visible names
+	for _, m := range mappings {
+		for vis, phys := range m {
+			if vis == phys {
+				continue
+			}
+			if aliases[string(phys)] == nil {
+				aliases[string(phys)] = make(map[string]bool)
+			}
+			aliases[string(phys)][string(vis)] = true
+		}
+	}
+	et.views = make(map[viewKey][]byte)
+	for k, body := range et.tables {
+		for vis := range aliases[k.zone] {
+			renamed := bytes.Replace(body, zoneField(k.zone), zoneField(vis), 1)
+			et.views[viewKey{phys: k.zone, visible: vis, typ: k.typ, prob: k.prob}] = renamed
+			et.viewBytes += len(renamed)
+		}
 	}
 	seen := make(map[spot.Combo]bool, len(et.tables))
 	for k := range et.tables {
 		seen[spot.Combo{Zone: spot.Zone(k.zone), Type: spot.InstanceType(k.typ)}] = true
 	}
-	out := make(map[string][]byte, len(mappings))
+	et.combosViews = make(map[string][]byte, len(mappings))
 	for account, m := range mappings {
-		inv := make(map[spot.Zone]spot.Zone, len(m))
-		for vis, phys := range m {
-			inv[phys] = vis
-		}
+		inv := m.Inverse()
 		list := make([]comboJSON, 0, len(seen))
 		identity := true
 		for c := range seen {
@@ -230,90 +232,132 @@ func (et *encodedTables) buildCombosViews(mappings map[string]obfuscate.Mapping)
 			if !ok {
 				vis = c.Zone
 			}
-			if vis != c.Zone {
-				identity = false
-			}
+			identity = identity && vis == c.Zone
 			list = append(list, comboJSON{Zone: string(vis), InstanceType: string(c.Type)})
 		}
 		if identity {
-			out[account] = et.combos
+			et.combosViews[account] = et.combos
 			continue
 		}
-		sort.Slice(list, func(i, j int) bool {
-			if list[i].Zone != list[j].Zone {
-				return list[i].Zone < list[j].Zone
-			}
-			return list[i].InstanceType < list[j].InstanceType
-		})
-		body, err := json.Marshal(list)
-		if err != nil {
-			continue // unreachable for these types; canonical fallback
-		}
-		out[account] = body
-		et.bytes += len(body)
+		sortCombos(list)
+		body, _ := json.Marshal(list) // plain strings: cannot fail
+		et.combosViews[account] = body
+		et.viewBytes += len(body)
 	}
-	et.combosViews = out
 }
 
-// tenantViewsEnabled reports whether this server must precompute
-// per-tenant zone views: it has account-mapped tenants and mappings to
-// translate them with.
-func (s *Server) tenantViewsEnabled() bool {
-	return s.tenants != nil && s.tenants.HasAccounts() && len(s.cfg.AccountMappings) > 0
-}
-
-// installBlobs encodes and atomically publishes the epoch's blob store.
-// The caller must install the matching tables map under s.mu around the
-// same time; an encoding failure publishes a nil store, which sends every
-// read to the marshal-per-request fallback rather than serving stale bytes.
-func (s *Server) installBlobs(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Predictor, asOf time.Time) {
-	s.installBlobsTraced(tables, preds, nil, asOf, nil)
-}
-
-// installBlobsTraced is installBlobs with the refresh cycle's trace: the
-// pre-encoding pass gets its own blob.encode span. Snapshot restores pass
-// a nil trace (and nil surfaces, derived from preds).
-func (s *Server) installBlobsTraced(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Predictor, surfaces map[blobKey]*surfaceEntry, asOf time.Time, tr *trace.Trace) {
+// publish encodes tables (with their advise surfaces and this node's
+// account views) into the next epoch and installs it together with the
+// authoritative maps behind it. An encoding failure installs nothing — the
+// previous epoch keeps serving — and is returned for the caller to record
+// as a failed refresh. Snapshot restores pass a nil trace (and nil
+// surfaces, derived from preds).
+func (s *Server) publish(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Predictor, surfaces map[blobKey]*surfaceEntry, asOf time.Time, lastErr string, tr *trace.Trace) error {
 	began := time.Now()
 	sp := tr.StartSpan("blob.encode")
 	et, err := encodeTables(tables, preds, surfaces, asOf)
 	sp.EndErr(err)
 	if err != nil {
-		s.logger.Error("encoding blob store failed; serving via marshal fallback", "err", err)
-		s.blobs.Store(nil)
-		s.metrics.blobBytes.Set(0)
-		return
+		return err
 	}
-	if s.tenantViewsEnabled() {
+	if len(s.cfg.AccountMappings) > 0 {
 		vsp := tr.StartSpan("blob.views")
-		et.buildViews()
-		et.buildCombosViews(s.cfg.AccountMappings)
+		et.attachViews(s.cfg.AccountMappings)
 		vsp.End()
 	}
+	s.mu.Lock()
+	s.tables, s.preds, s.asOf, s.lastErr = tables, preds, asOf, lastErr
+	s.mu.Unlock()
 	et.seq = s.epochSeq.Add(1)
 	s.blobs.Store(et)
-	s.metrics.blobBytes.Set(float64(et.bytes))
+	s.metrics.tables.Set(float64(len(tables)))
+	s.metrics.blobBytes.Set(float64(et.size()))
 	s.metrics.encodeDuration.Observe(time.Since(began).Seconds())
 	if hook := s.cfg.OnEpoch; hook != nil {
 		hook(&Epoch{et: et})
 	}
+	return nil
+}
+
+// table returns the body answering c: the table itself when the client
+// addressed the physical zone, its renamed view otherwise. A
+// non-canonical probability spelling ("0.990") is retried under the
+// canonical one.
+func (et *encodedTables) table(c comboReq) ([]byte, bool) {
+	if et == nil {
+		return nil, false
+	}
+	if b, ok := et.tableAt(c, c.prob); ok {
+		return b, true
+	}
+	return et.tableAt(c, probKey(c.probF))
+}
+
+func (et *encodedTables) tableAt(c comboReq, prob string) ([]byte, bool) {
+	if c.visible == c.phys {
+		b, ok := et.tables[blobKey{zone: c.phys, typ: c.typ, prob: prob}]
+		return b, ok
+	}
+	b, ok := et.views[viewKey{phys: c.phys, visible: c.visible, typ: c.typ, prob: prob}]
+	return b, ok
+}
+
+// readParams are the query parameters of the /v1 read endpoints. An
+// absent parameter and an empty one read alike, as url.Values.Get has it.
+type readParams struct {
+	zone, typ, prob, dur, account, combos string
+}
+
+// readQuery is the one query reader every /v1 read uses: plain queries
+// are read by substring extraction, and any query rawParams declines
+// goes through url.ParseQuery — the same parse r.URL.Query() performs,
+// so escaped spellings resolve exactly as the reference handlers see
+// them.
+func readQuery(q string) readParams {
+	if p, ok := rawParams(q); ok {
+		return p
+	}
+	v, _ := url.ParseQuery(q) // malformed pairs are dropped, as r.URL.Query() drops them
+	return readParams{zone: v.Get("zone"), typ: v.Get("type"), prob: v.Get("probability"),
+		dur: v.Get("duration"), account: v.Get("account"), combos: v.Get("combos")}
+}
+
+// rawParams reads the parameters without allocating when the query needs
+// no unescaping: the results are substrings of q. It declines (ok false)
+// any query with a percent-escape, a '+' (a space), or a ';' (which
+// url.ParseQuery rejects along with its pair). FuzzRawParams holds it to
+// url.ParseQuery on every query it accepts.
+//
+//drafts:nonalloc
+func rawParams(q string) (p readParams, ok bool) {
+	if !fastQuery(q) {
+		return p, false
+	}
+	p.zone, _ = rawQueryValue(q, "zone")
+	p.typ, _ = rawQueryValue(q, "type")
+	p.prob, _ = rawQueryValue(q, "probability")
+	p.dur, _ = rawQueryValue(q, "duration")
+	p.account, _ = rawQueryValue(q, "account")
+	p.combos, _ = rawQueryValue(q, "combos")
+	return p, true
 }
 
 // fastQuery reports whether the raw query can be read by plain substring
-// extraction: any percent-escape or '+' forces the url.Values slow path.
+// extraction: a percent-escape, '+' or ';' forces url.ParseQuery.
 //
 //drafts:nonalloc
 func fastQuery(q string) bool {
 	for i := 0; i < len(q); i++ {
-		if q[i] == '%' || q[i] == '+' {
+		if q[i] == '%' || q[i] == '+' || q[i] == ';' {
 			return false
 		}
 	}
 	return true
 }
 
-// rawQueryValue extracts the value of key from an unescaped raw query
-// without allocating: the result is a substring of q.
+// rawQueryValue extracts the first value of key from an unescaped raw
+// query without allocating: the result is a substring of q. A bare key
+// (no '=') is present with an empty value, as url.ParseQuery reads it.
 //
 //drafts:nonalloc
 func rawQueryValue(q, key string) (val string, found bool) {
@@ -323,6 +367,9 @@ func rawQueryValue(q, key string) (val string, found bool) {
 			pair, q = q[:i], q[i+1:]
 		} else {
 			pair, q = q, ""
+		}
+		if pair == key {
+			return "", true
 		}
 		if len(pair) > len(key) && pair[len(key)] == '=' && pair[:len(key)] == key {
 			return pair[len(key)+1:], true
@@ -366,115 +413,63 @@ func (s *Server) writeBlob(w http.ResponseWriter, r *http.Request, et *encodedTa
 	_, _ = w.Write(newline)
 }
 
-// lookupBlob resolves a (zone, type, probability-string) triple to its
-// pre-encoded table, canonicalizing non-canonical probability spellings
-// ("0.990") on miss.
-func (et *encodedTables) lookupBlob(zone, typ, prob string) ([]byte, bool) {
-	if b, ok := et.tables[blobKey{zone: zone, typ: typ, prob: prob}]; ok {
-		return b, true
-	}
-	if f, err := strconv.ParseFloat(prob, 64); err == nil {
-		if b, ok := et.tables[blobKey{zone: zone, typ: typ, prob: probKey(f)}]; ok {
-			return b, true
-		}
-	}
-	return nil, false
-}
-
-// handlePredictions serves one bid table. Requests without an account
-// parameter hit the pre-encoded blob store — a map lookup and a single
-// write, no allocation; an authenticated tenant with an account mapping
-// is served its precomputed zone-renamed view the same way (one extra map
-// lookup, still no allocation). The explicit ?account= alias and
-// spellings the fast parse cannot handle fall back to the marshal path,
-// which preserves the service's original semantics (and bytes) exactly.
+// handlePredictions serves one bid table from the installed epoch: the
+// combo resolver translates the request (tenant account, ?account=
+// alias, zone mapping), and the answer is one map lookup and a single
+// write, with no allocation — a mapped tenant's renamed view included.
 //
 //drafts:nonalloc
 func (s *Server) handlePredictions(w http.ResponseWriter, r *http.Request) {
-	if et := s.blobs.Load(); et != nil {
-		q := r.URL.RawQuery
-		if fastQuery(q) {
-			if _, acct := rawQueryValue(q, "account"); !acct {
-				zone, _ := rawQueryValue(q, "zone")
-				typ, _ := rawQueryValue(q, "type")
-				prob, hasProb := rawQueryValue(q, "probability")
-				if !hasProb {
-					prob = defaultProbKey
-				}
-				if zone != "" && typ != "" {
-					tr := traceOf(w)
-					sp := tr.StartSpan("blob.lookup")
-					var body []byte
-					var ok bool
-					if tn := tenantOf(w); tn != nil && tn.Account != "" {
-						body, ok = s.lookupTenantView(et, tn.Account, zone, typ, prob)
-					} else {
-						body, ok = et.lookupBlob(zone, typ, prob)
-					}
-					sp.End()
-					if ok {
-						wsp := tr.StartSpan("blob.write")
-						s.writeBlob(w, r, et, body)
-						wsp.End()
-						return
-					}
-				}
-			}
-		}
+	c, ok := s.resolveCombo(w, r)
+	if !ok {
+		return
 	}
-	s.handlePredictionsMarshal(w, r)
+	et := s.blobs.Load()
+	tr := traceOf(w)
+	sp := tr.StartSpan("blob.lookup")
+	body, found := et.table(c)
+	sp.End()
+	if !found {
+		writeNotFound(w, "table", c)
+		return
+	}
+	wsp := tr.StartSpan("blob.write")
+	s.writeBlob(w, r, et, body)
+	wsp.End()
 }
 
-// lookupTenantView resolves an account-mapped tenant's request to its
-// precomputed zone-renamed view: the account's mapping translates the
-// visible zone to the physical one, and the views map holds the body
-// answering under the visible name. A miss (no views built, unmapped
-// account, unknown zone/combo) sends the request to the marshal path,
-// which renders the authoritative answer — or error — for the same
-// request.
-func (s *Server) lookupTenantView(et *encodedTables, account, zone, typ, prob string) ([]byte, bool) {
-	m, found := s.cfg.AccountMappings[account]
-	if !found {
-		// Account with no mapping configured: canonical view (matching
-		// resolveCombo's lenient fallback).
-		return et.lookupBlob(zone, typ, prob)
-	}
-	if et.views == nil {
-		return nil, false
-	}
-	phys, found := m[spot.Zone(zone)]
-	if !found {
-		return nil, false
-	}
-	if b, ok := et.views[viewKey{phys: string(phys), visible: zone, typ: typ, prob: prob}]; ok {
-		return b, true
-	}
-	if f, err := strconv.ParseFloat(prob, 64); err == nil {
-		if b, ok := et.views[viewKey{phys: string(phys), visible: zone, typ: typ, prob: probKey(f)}]; ok {
-			return b, true
-		}
-	}
-	return nil, false
+// writeNotFound is the 404 for a combo with nothing behind it — "no
+// table" on the read paths, "no predictor" on advise — including the
+// state before the first epoch. It stays out of line so its boxing never
+// lands in the allocation-free handlers that call it.
+//
+//go:noinline
+func writeNotFound(w http.ResponseWriter, what string, c comboReq) {
+	writeErr(w, http.StatusNotFound, codeNotFound, "no %s for %s at probability %v", what, c.combo(), c.probF)
 }
 
-// handleCombos serves the combo listing, pre-encoded when a blob store is
-// installed. An account-mapped tenant receives its precomputed zone-view
-// listing (combosViews) so discovery round-trips into the other read
-// endpoints; either way the response is one map lookup and one write.
+// handleCombos serves the combo listing from the installed epoch. An
+// account-mapped tenant receives its precomputed zone-view listing
+// (combosViews) so discovery round-trips into the other read endpoints;
+// either way the response is one map lookup and one write.
 //
 //drafts:nonalloc
 func (s *Server) handleCombos(w http.ResponseWriter, r *http.Request) {
-	if et := s.blobs.Load(); et != nil {
-		body := et.combos
-		if tn := tenantOf(w); tn != nil && tn.Account != "" {
-			if vb, ok := et.combosViews[tn.Account]; ok {
-				body = vb
-			}
-		}
-		s.writeBlob(w, r, et, body)
+	et := s.blobs.Load()
+	if et == nil {
+		// The empty listing, as writeJSON renders it.
+		w.Header()["Content-Type"] = jsonCTHeader
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(emptyList)
 		return
 	}
-	s.handleCombosMarshal(w, r)
+	body := et.combos
+	if tn := tenantOf(w); tn != nil && tn.Account != "" {
+		if vb, ok := et.combosViews[tn.Account]; ok {
+			body = vb
+		}
+	}
+	s.writeBlob(w, r, et, body)
 }
 
 // handleTables is the batch read endpoint:
@@ -495,37 +490,40 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, codeStale, "no tables computed yet")
 		return
 	}
-	viewAccount := ""
-	if tn := tenantOf(w); tn != nil && tn.Account != "" {
-		viewAccount = tn.Account
+	account := ""
+	if tn := tenantOf(w); tn != nil {
+		account = tn.Account
 	}
 	if !s.checkStaleness(w, et.asOf) {
 		return
 	}
-	q := r.URL.RawQuery
-	var combosParam, prob string
-	if fastQuery(q) {
-		combosParam, _ = rawQueryValue(q, "combos")
-		prob, _ = rawQueryValue(q, "probability")
-	} else {
-		vals := r.URL.Query()
-		combosParam = vals.Get("combos")
-		prob = vals.Get("probability")
-	}
-	if combosParam == "" {
+	p := readQuery(r.URL.RawQuery)
+	if p.combos == "" {
 		writeErr(w, http.StatusBadRequest, codeInvalidArgument, "combos is required (comma-separated zone/type pairs)")
 		return
 	}
+	prob, probF := p.prob, 0.99
 	if prob == "" {
 		prob = defaultProbKey
 	} else if f, err := strconv.ParseFloat(prob, 64); err != nil || !(f > 0 && f < 1) {
 		writeErr(w, http.StatusBadRequest, codeInvalidArgument, "invalid probability %q", prob)
 		return
+	} else {
+		probF = f
+	}
+	// lookup resolves one zone/type part in the tenant's namespace; a
+	// zone its mapping does not name has no table.
+	lookup := func(zone, typ string) ([]byte, bool) {
+		phys, _, known := s.physZone(account, zone)
+		if !known {
+			return nil, false
+		}
+		return et.table(comboReq{visible: zone, phys: phys, typ: typ, prob: prob, probF: probF})
 	}
 
 	// First pass: resolve every combo before writing anything.
 	n := 0
-	rest := combosParam
+	rest := p.combos
 	for rest != "" {
 		var part string
 		if i := strings.IndexByte(rest, ','); i >= 0 {
@@ -538,13 +536,7 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, codeInvalidArgument, "combo %q must be zone/type", part)
 			return
 		}
-		var found bool
-		if viewAccount != "" {
-			_, found = s.lookupTenantView(et, viewAccount, zone, typ, prob)
-		} else {
-			_, found = et.lookupBlob(zone, typ, prob)
-		}
-		if !found {
+		if _, found := lookup(zone, typ); !found {
 			writeErr(w, http.StatusNotFound, codeNotFound, "no table for %s/%s at probability %s", zone, typ, prob)
 			return
 		}
@@ -566,66 +558,59 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(openBracket)
-	first := true
-	rest = combosParam
-	for rest != "" {
+	rest = p.combos
+	for i := 0; rest != ""; i++ {
 		var part string
-		if i := strings.IndexByte(rest, ','); i >= 0 {
-			part, rest = rest[:i], rest[i+1:]
+		if j := strings.IndexByte(rest, ','); j >= 0 {
+			part, rest = rest[:j], rest[j+1:]
 		} else {
 			part, rest = rest, ""
 		}
 		zone, typ, _ := strings.Cut(part, "/")
-		var body []byte
-		if viewAccount != "" {
-			body, _ = s.lookupTenantView(et, viewAccount, zone, typ, prob)
-		} else {
-			body, _ = et.lookupBlob(zone, typ, prob)
-		}
-		if !first {
+		body, _ := lookup(zone, typ)
+		if i > 0 {
 			_, _ = w.Write(comma)
 		}
-		first = false
 		_, _ = w.Write(body)
 	}
 	_, _ = w.Write(closeBracket)
 }
 
-// handlePredictionsMarshal is the pre-blob-store read path: it re-encodes
-// the table from the installed core representation on every request. It
-// remains both the fallback for requests the fast path cannot serve
-// (account-mapped zones, blob store momentarily absent) and the regression
-// baseline that MarshalHandler exposes to draftsbench.
+// handlePredictionsMarshal is the reference read path: it re-encodes the
+// table from the installed core representation on every request. It is
+// the oracle MarshalHandler exposes to the equivalence tests and
+// benchmarks; no request to Handler reaches it.
 func (s *Server) handlePredictionsMarshal(w http.ResponseWriter, r *http.Request) {
-	visible, combo, prob, ok := s.resolveCombo(w, r)
+	c, ok := s.resolveCombo(w, r)
 	if !ok {
 		return
 	}
-	table, ok := s.table(combo, prob)
+	table, ok := s.table(c.combo(), c.probF)
 	if !ok {
-		writeErr(w, http.StatusNotFound, codeNotFound, "no table for %s at probability %v", combo, prob)
+		writeNotFound(w, "table", c)
 		return
 	}
 	s.mu.RLock()
-	asOf := s.asOf
+	asOf, n := s.asOf, len(s.tables)
 	s.mu.RUnlock()
 	if !s.checkStaleness(w, asOf) {
 		return
 	}
+	w.Header().Set("Etag", epochETag(asOf, n))
 	// Answer under the client's own zone name.
-	writeJSON(w, http.StatusOK, toJSON(spot.Combo{Zone: visible, Type: combo.Type}, table))
+	writeJSON(w, http.StatusOK, toJSON(spot.Combo{Zone: spot.Zone(c.visible), Type: spot.InstanceType(c.typ)}, table))
 }
 
-// handleCombosMarshal is the marshal-per-request combo listing, kept as the
-// fallback and benchmarking baseline for handleCombos. It applies the same
-// per-account zone renaming as the pre-encoded path.
+// handleCombosMarshal is the marshal-per-request combo listing, the
+// reference oracle for handleCombos. It applies the same per-account zone
+// renaming as the pre-encoded path.
 func (s *Server) handleCombosMarshal(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RLock()
 	seen := make(map[spot.Combo]bool)
 	for k := range s.tables {
 		seen[k.combo] = true
 	}
-	asOf := s.asOf
+	asOf, n := s.asOf, len(s.tables)
 	s.mu.RUnlock()
 	if !s.checkStaleness(w, asOf) {
 		return
@@ -647,23 +632,22 @@ func (s *Server) handleCombosMarshal(w http.ResponseWriter, _ *http.Request) {
 		}
 		out = append(out, comboJSON{Zone: string(zone), InstanceType: string(c.Type)})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Zone != out[j].Zone {
-			return out[i].Zone < out[j].Zone
-		}
-		return out[i].InstanceType < out[j].InstanceType
-	})
+	sortCombos(out)
+	if n > 0 {
+		w.Header().Set("Etag", epochETag(asOf, n))
+	}
 	writeJSON(w, http.StatusOK, out)
 }
 
-// MarshalHandler returns the REST API with the pre-encoded fast path
-// disabled: /v1/predictions and /v1/combos marshal JSON from the installed
-// tables on every request, and /v1/advise always runs the bid-escalation
-// scan, exactly as the service behaved before the blob store and the
-// advise surfaces existed. It exists so draftsbench and the Go benchmarks
-// can measure the serving fast paths against the historical baseline on
-// the same tables (and so the equivalence tests can hold the surface and
-// scan paths byte-identical); production traffic uses Handler.
+// MarshalHandler returns the reference REST API: /v1/predictions and
+// /v1/combos marshal JSON from the installed tables on every request, and
+// /v1/advise runs the predictor's bid-escalation scan, exactly as the
+// service behaved before the blob store and the advise surfaces existed.
+// Only a writer holds the tables and predictors it reads. It exists so
+// draftsbench and the Go benchmarks can measure the serving path against
+// the historical baseline on the same tables, and so the equivalence
+// tests can hold Handler — on writer and replica alike — to the same
+// status, headers and bytes. Production traffic uses Handler.
 func (s *Server) MarshalHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -671,16 +655,4 @@ func (s *Server) MarshalHandler() http.Handler {
 	mux.HandleFunc("GET /v1/predictions", s.handlePredictionsMarshal)
 	mux.HandleFunc("GET /v1/advise", s.handleAdviseScan)
 	return s.wrap(mux)
-}
-
-// blobSnapshotEqual is a test hook: it reports whether the currently
-// installed blob for the combo/probability equals body. Unused in
-// production paths.
-func (s *Server) blobSnapshotEqual(c spot.Combo, prob float64, body []byte) bool {
-	et := s.blobs.Load()
-	if et == nil {
-		return false
-	}
-	b, ok := et.tables[blobKey{zone: string(c.Zone), typ: string(c.Type), prob: probKey(prob)}]
-	return ok && bytes.Equal(b, body)
 }

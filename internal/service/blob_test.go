@@ -3,8 +3,11 @@ package service
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -23,6 +26,69 @@ func getBody(t *testing.T, h http.Handler, target string) (int, http.Header, []b
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	return rec.Code, rec.Header(), rec.Body.Bytes()
+}
+
+// replicaOf builds a replica configured with the writer's tenants and
+// account mappings and installs the writer's current epoch (if any): the
+// third handler the equivalence tests hold to the writer's.
+func replicaOf(t *testing.T, writer *Server) *Server {
+	t.Helper()
+	rep, err := NewReplica(Config{Tenants: writer.cfg.Tenants, AccountMappings: writer.cfg.AccountMappings})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ep := writer.CurrentEpoch(); ep != nil {
+		if err := rep.InstallEpoch(ep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rep
+}
+
+// equivalenceHandlers are the three handlers every equivalence test
+// compares: the writer's and the replica's serving path, and the
+// writer's reference MarshalHandler.
+func equivalenceHandlers(t *testing.T, writer *Server) []namedHandler {
+	t.Helper()
+	return []namedHandler{
+		{"writer", writer.Handler()},
+		{"replica", replicaOf(t, writer).Handler()},
+		{"marshal", writer.MarshalHandler()},
+	}
+}
+
+type namedHandler struct {
+	name string
+	h    http.Handler
+}
+
+// checkSameResponses fails unless every handler answers the GET with the
+// same status, body and headers — X-Request-Id and Traceparent aside,
+// which identify the request rather than the answer.
+func checkSameResponses(t *testing.T, target string, hdr map[string]string, hs []namedHandler) {
+	t.Helper()
+	var first *httptest.ResponseRecorder
+	for _, nh := range hs {
+		req := httptest.NewRequest(http.MethodGet, target, nil)
+		for k, v := range hdr {
+			req.Header.Set(k, v)
+		}
+		rec := httptest.NewRecorder()
+		nh.h.ServeHTTP(rec, req)
+		for _, k := range []string{requestIDHeader, traceparentHeader} {
+			rec.Header().Del(k)
+		}
+		if first == nil {
+			first = rec
+			continue
+		}
+		if rec.Code != first.Code || !bytes.Equal(rec.Body.Bytes(), first.Body.Bytes()) ||
+			!reflect.DeepEqual(rec.Header(), first.Header()) {
+			t.Errorf("%s:\n%s: %d %v %s\n%s: %d %v %s", target,
+				hs[0].name, first.Code, first.Header(), first.Body.Bytes(),
+				nh.name, rec.Code, rec.Header(), rec.Body.Bytes())
+		}
+	}
 }
 
 // TestCachedGetZeroAllocs is the acceptance criterion for the serving fast
@@ -59,7 +125,7 @@ func TestCachedGetZeroAllocs(t *testing.T) {
 		b, _ := wep.Blob(k)
 		blobs[k] = b
 	}
-	rebuilt, err := NewEpoch(wep.Seq(), wep.AsOf(), wep.Combos(), blobs)
+	rebuilt, err := NewEpochFull(wep.Seq(), wep.AsOf(), wep.Combos(), blobs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,32 +198,45 @@ func TestCachedGetZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestFastPathMatchesMarshal asserts the blob fast path is invisible to
-// clients: byte-identical bodies to the marshal-per-request baseline, for
-// canonical, non-canonical, and percent-escaped request spellings.
+// TestFastPathMatchesMarshal asserts the serving path is invisible to
+// clients: the writer's and a replica's Handler answer exactly as the
+// marshal-per-request reference does — status, headers and bytes — for
+// canonical, non-canonical, escaped and malformed request spellings, and
+// before the first epoch.
 func TestFastPathMatchesMarshal(t *testing.T) {
 	srv := testServer(t)
-	fast := srv.Handler()
-	slow := srv.MarshalHandler()
+	handlers := equivalenceHandlers(t, srv)
 	targets := []string{
 		"/v1/predictions?zone=us-east-1b&type=c4.large&probability=0.99",
 		"/v1/predictions?zone=us-east-1b&type=c4.large", // default probability
 		"/v1/predictions?zone=us-west-1a&type=c3.2xlarge&probability=0.95",
 		"/v1/predictions?zone=us-east-1b&type=c4.large&probability=0.990",  // non-canonical spelling
-		"/v1/predictions?zone=us-east-1%62&type=c4.large&probability=0.99", // escaped -> slow parse
-		"/v1/predictions?zone=nowhere-1x&type=c4.large",                    // 404 on both paths
-		"/v1/predictions?zone=us-east-1b&type=c4.large&probability=2",      // 400 on both paths
+		"/v1/predictions?zone=us-east-1%62&type=c4.large&probability=0.99", // escaped -> url.ParseQuery
+		"/v1/predictions?zone=us%2Deast-1b&type=c4.large&probability=0.99", // escaped dash
+		"/v1/predictions?zone=us-east-1b;x&type=c4.large",                  // ';' pair dropped -> 400
+		"/v1/predictions?zone=us-east-1b;x&zone=us-east-1b&type=c4.large",  // ';' pair dropped -> 200
+		"/v1/predictions?zone=nowhere-1x&type=c4.large",                    // 404
+		"/v1/predictions?zone=us-east-1b&type=c4.large&probability=2",      // 400
+		"/v1/predictions?zone=us-east-1b&type=c4.large&account=acct-1",     // unmapped account -> 403
 		"/v1/combos",
 	}
 	for _, target := range targets {
-		fastCode, _, fastBody := getBody(t, fast, target)
-		slowCode, _, slowBody := getBody(t, slow, target)
-		if fastCode != slowCode {
-			t.Errorf("%s: fast status %d, marshal status %d", target, fastCode, slowCode)
-		}
-		if !bytes.Equal(fastBody, slowBody) {
-			t.Errorf("%s: bodies differ:\nfast:    %s\nmarshal: %s", target, fastBody, slowBody)
-		}
+		checkSameResponses(t, target, nil, handlers)
+	}
+
+	// Before the first epoch every handler renders the same empty state.
+	cold, err := New(Config{Source: testStore(t), MaxHistory: 9000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range []string{
+		"/v1/predictions?zone=us-east-1b&type=c4.large",
+		"/v1/predictions?zone=us-east-1b&type=c4.large&probability=2",
+		"/v1/advise?zone=us-east-1b&type=c4.large&duration=1h",
+		"/v1/advise?zone=us-east-1b&type=c4.large",
+		"/v1/combos",
+	} {
+		checkSameResponses(t, target, nil, equivalenceHandlers(t, cold))
 	}
 }
 
@@ -402,6 +481,30 @@ func TestExtendPredictorDeclines(t *testing.T) {
 	srv.incrementalMax = saved
 }
 
+// TestEncodeFailureInstallsNothing pins the encode-failure policy: an
+// epoch whose tables cannot be encoded installs nothing — neither the
+// epoch nor the maps behind it — so the previous epoch keeps serving and
+// a nil epoch only ever means "before the first install".
+func TestEncodeFailureInstallsNothing(t *testing.T) {
+	srv := testServer(t)
+	before := srv.CurrentEpoch()
+	bad := map[tableKey]core.BidTable{{combo: testCombos[0], prob: 0.99}: {
+		At: t0, Probability: 0.99, Points: []core.BidPoint{{Bid: math.NaN(), Duration: time.Hour}},
+	}}
+	if err := srv.publish(bad, nil, nil, time.Now(), "", nil); err == nil {
+		t.Fatal("a table with a NaN bid encoded")
+	}
+	if got := srv.CurrentEpoch(); got.Seq() != before.Seq() || got.Checksum() != before.Checksum() {
+		t.Fatal("a failed encode replaced the serving epoch")
+	}
+	srv.mu.RLock()
+	n := len(srv.tables)
+	srv.mu.RUnlock()
+	if n != before.NumTables() {
+		t.Fatalf("a failed encode installed %d tables behind a %d-table epoch", n, before.NumTables())
+	}
+}
+
 // TestRestoreInstallsBlobs ensures a snapshot restore re-arms the fast
 // path: the restored server answers cached GETs from pre-encoded blobs with
 // the same ETag epoch it served before the restart.
@@ -451,7 +554,9 @@ func TestRawQueryValue(t *testing.T) {
 		{"zonex=a", "zone", "", false},
 		{"azone=a", "zone", "", false},
 		{"", "zone", "", false},
-		{"zone", "zone", "", false}, // no '=' -> not a pair
+		{"zone", "zone", "", true},               // bare key: present, empty (url.ParseQuery agrees)
+		{"zone&zone=x", "zone", "", true},        // first occurrence wins, bare or not
+		{"zone=x;y&type=t", "zone", "x;y", true}, // raw read; fastQuery routes ';' to url.ParseQuery
 	}
 	for _, tc := range cases {
 		got, found := rawQueryValue(tc.q, tc.key)
@@ -460,10 +565,40 @@ func TestRawQueryValue(t *testing.T) {
 				tc.q, tc.key, got, found, tc.want, tc.found)
 		}
 	}
-	if fastQuery("zone=us%2Deast") || fastQuery("a=b+c") {
+	if fastQuery("zone=us%2Deast") || fastQuery("a=b+c") || fastQuery("zone=a;b") {
 		t.Error("escaped query accepted by fast path")
 	}
 	if !fastQuery("zone=us-east-1b&type=c4.large") {
 		t.Error("plain query rejected by fast path")
 	}
+}
+
+// FuzzRawParams holds the allocation-free query reader to url.ParseQuery:
+// on every raw query rawParams accepts, each parameter it reads equals
+// what url.Values.Get returns for it.
+func FuzzRawParams(f *testing.F) {
+	for _, target := range adviseSpellings {
+		_, q, _ := strings.Cut(target, "?")
+		f.Add(q)
+	}
+	f.Add("zone&zone=us-east-1b&type==c4.large&&account=")
+	f.Add("combos=us-east-1b/c4.large,us-west-1a/c3.2xlarge&probability=0.95")
+	f.Fuzz(func(t *testing.T, q string) {
+		p, ok := rawParams(q)
+		if !ok {
+			return
+		}
+		v, err := url.ParseQuery(q)
+		if err != nil {
+			t.Fatalf("rawParams accepted %q, which url.ParseQuery rejects: %v", q, err)
+		}
+		for key, got := range map[string]string{
+			"zone": p.zone, "type": p.typ, "probability": p.prob,
+			"duration": p.dur, "account": p.account, "combos": p.combos,
+		} {
+			if want := v.Get(key); got != want {
+				t.Errorf("rawParams(%q).%s = %q, url.ParseQuery has %q", q, key, got, want)
+			}
+		}
+	})
 }

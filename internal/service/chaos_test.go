@@ -66,11 +66,12 @@ func TestChaosRefreshOutageServesStale(t *testing.T) {
 
 	// Age the epoch past two refresh periods: still served, now marked.
 	agedAsOf := time.Now().Add(-3 * time.Minute)
-	srv.mu.Lock()
-	srv.asOf = agedAsOf
-	tables := srv.tables
-	srv.mu.Unlock()
-	srv.installBlobs(tables, nil, agedAsOf)
+	srv.mu.RLock()
+	tables, preds, lastErr := srv.tables, srv.preds, srv.lastErr
+	srv.mu.RUnlock()
+	if err := srv.publish(tables, preds, nil, agedAsOf, lastErr, nil); err != nil {
+		t.Fatal(err)
+	}
 
 	rec = chaosGet(t, h, path)
 	if rec.Code != http.StatusOK {
@@ -95,10 +96,9 @@ func TestChaosRefreshOutageServesStale(t *testing.T) {
 	// Beyond MaxStaleness the tables are refused: a guarantee computed
 	// from hour-old prices is no guarantee.
 	ancient := time.Now().Add(-11 * time.Minute)
-	srv.mu.Lock()
-	srv.asOf = ancient
-	srv.mu.Unlock()
-	srv.installBlobs(tables, nil, ancient)
+	if err := srv.publish(tables, preds, nil, ancient, lastErr, nil); err != nil {
+		t.Fatal(err)
+	}
 	rec = chaosGet(t, h, path)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("beyond-max-staleness GET = %d, want 503", rec.Code)

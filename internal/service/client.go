@@ -58,15 +58,14 @@ type Client struct {
 	// envelopes, and /debug/flight — matches the ID the client holds.
 	Tracer *trace.Tracer
 	// Replicas, when non-empty, enables client-side read routing: the
-	// client hashes each keyed read (a combo, for /v1/predictions and
-	// /v1/tables) onto a consistent-hash ring over these base URLs — the
-	// same FNV ring the cluster router uses, so client-routed and
-	// router-fronted fleets place keys identically. Retries walk the
-	// ring clockwise (the node that would own the key next), then fall
-	// back to BaseURL; unkeyed reads (/v1/combos, /debug/flight) and
-	// /v1/advise (only the writer holds predictors) go to BaseURL as
-	// always. The per-code retry rules are unchanged — routing only
-	// changes WHERE each attempt goes.
+	// client hashes each keyed read (a combo, for /v1/predictions,
+	// /v1/advise and /v1/tables) onto a consistent-hash ring over these
+	// base URLs — the same FNV ring the cluster router uses, so
+	// client-routed and router-fronted fleets place keys identically.
+	// Retries walk the ring clockwise (the node that would own the key
+	// next), then fall back to BaseURL; unkeyed reads (/v1/combos,
+	// /debug/flight) go to BaseURL as always. The per-code retry rules are
+	// unchanged — routing only changes WHERE each attempt goes.
 	Replicas []string
 
 	// sleep is the retry delay; tests stub it to run instantly.
@@ -386,6 +385,9 @@ func (c *Client) Tables(combos []spot.Combo, probability float64) ([]TableJSON, 
 
 // Advise asks the service directly for the smallest bid guaranteeing the
 // duration; unlike BidFor it can escalate beyond the published table span.
+// Every node answers advise from its installed epoch, so with Replicas
+// configured the call is placed on the combo's ring owner like
+// Predictions.
 func (c *Client) Advise(combo spot.Combo, probability float64, d time.Duration) (core.Quote, error) {
 	q := url.Values{}
 	q.Set("zone", string(combo.Zone))
@@ -396,7 +398,8 @@ func (c *Client) Advise(combo spot.Combo, probability float64, d time.Duration) 
 		q.Set("account", c.Account)
 	}
 	var qj QuoteJSON
-	if err := c.get("/v1/advise", q, &qj); err != nil {
+	key := string(combo.Zone) + "/" + string(combo.Type)
+	if err := c.getKeyed(key, "/v1/advise", q, &qj); err != nil {
 		return core.Quote{}, err
 	}
 	return core.Quote{

@@ -81,12 +81,15 @@ func TestClientRoutesReadsOverReplicas(t *testing.T) {
 		t.Fatal("failover did not reach a surviving node")
 	}
 
-	// Advise stays on the writer: replicas hold no predictors.
+	// Advise is placed like Predictions — every node answers it from its
+	// epoch — so with the owner dead the surviving replica serves it.
+	before = otherHits.Load()
 	if _, err := cl.Advise(combo, 0.99, 2*time.Hour); err != nil {
 		t.Fatalf("advise: %v", err)
 	}
-	if baseHits.Load() == 0 {
-		t.Fatal("advise bypassed the writer")
+	if otherHits.Load() != before+1 || baseHits.Load() != 0 {
+		t.Fatalf("advise: other=%d (was %d) base=%d, want the surviving replica",
+			otherHits.Load(), before, baseHits.Load())
 	}
 }
 

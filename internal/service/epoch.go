@@ -32,8 +32,8 @@ type BlobKey struct {
 // Epoch is an immutable snapshot of one blob-store generation: every
 // pre-encoded table body, the combo listing, and the epoch identity
 // (sequence number, asOf, ETag). The replication shipper serializes
-// Epochs onto the wire; receivers rebuild them with NewEpoch and install
-// them with InstallEpoch. All byte slices are aliased, not copied —
+// Epochs onto the wire; receivers rebuild them with NewEpochFull and
+// install them with InstallEpoch. All byte slices are aliased, not copied —
 // callers must treat them as read-only, exactly like the handlers do.
 type Epoch struct {
 	et *encodedTables
@@ -53,8 +53,8 @@ func (e *Epoch) ETag() string { return e.et.etag }
 // NumTables is the pre-encoded table count.
 func (e *Epoch) NumTables() int { return len(e.et.tables) }
 
-// SizeBytes is the total pre-encoded payload size.
-func (e *Epoch) SizeBytes() int { return e.et.bytes }
+// SizeBytes is the total pre-encoded payload size, account views included.
+func (e *Epoch) SizeBytes() int { return e.et.size() }
 
 // Keys returns every table's key in sorted order — the deterministic
 // iteration order the wire protocol and the checksum both rely on.
@@ -84,7 +84,7 @@ func (e *Epoch) Blob(k BlobKey) ([]byte, bool) {
 }
 
 // NumSurfaces is the advise-surface count (zero on epochs built without
-// predictors, e.g. legacy NewEpoch rebuilds).
+// predictors).
 func (e *Epoch) NumSurfaces() int { return len(e.et.surfaces) }
 
 // SurfaceKeys returns every surface's key in sorted order — like Keys, the
@@ -155,24 +155,16 @@ func (e *Epoch) Checksum() uint64 {
 	return h.Sum64()
 }
 
-// NewEpoch assembles an epoch from received parts, without advise
-// surfaces — NewEpochFull is the surface-carrying variant the cluster
-// receiver uses. The ETag is recomputed locally from (asOf, table count) —
-// the same derivation the writer's encodeTables uses — which is what
-// guarantees cross-node ETag identity: a replica cannot install an epoch
-// whose ETag differs from what the writer serves for the same content.
-// The blobs map is aliased, not copied; the caller must not mutate it
-// afterwards.
-func NewEpoch(seq uint64, asOf time.Time, combos []byte, blobs map[BlobKey][]byte) (*Epoch, error) {
-	return NewEpochFull(seq, asOf, combos, blobs, nil)
-}
-
-// NewEpochFull assembles an epoch from received parts including the advise
-// surfaces, each given as its canonical wire encoding (the bytes Surface
-// returns on the sending side). Every payload is decoded and validated, so
-// the rebuilt epoch answers /v1/advise and /v1/fleet bit-identically to
-// the writer that encoded it — and hashes to the writer's Checksum, since
-// the canonical encodings are retained verbatim.
+// NewEpochFull assembles an epoch from received parts: the table blobs,
+// the combo listing, and the advise surfaces, each given as its canonical
+// wire encoding (the bytes Surface returns on the sending side; nil for an
+// epoch without surfaces). Every payload is decoded and validated, so the
+// rebuilt epoch answers every /v1 read bit-identically to the writer that
+// encoded it — and hashes to the writer's Checksum, since the canonical
+// encodings are retained verbatim. The ETag is recomputed locally from
+// (asOf, table count) — the same derivation the writer's encodeTables
+// uses — which is what guarantees cross-node ETag identity. The maps are
+// aliased, not copied; the caller must not mutate them afterwards.
 func NewEpochFull(seq uint64, asOf time.Time, combos []byte, blobs map[BlobKey][]byte, surfaces map[BlobKey][]byte) (*Epoch, error) {
 	if seq == 0 {
 		return nil, fmt.Errorf("service: epoch sequence must be nonzero")
@@ -220,7 +212,7 @@ func NewEpochFull(seq uint64, asOf time.Time, combos []byte, blobs map[BlobKey][
 }
 
 // CurrentEpoch returns the currently installed epoch, or nil before the
-// first install (or after an encoding failure cleared the blob store).
+// first install.
 func (s *Server) CurrentEpoch() *Epoch {
 	et := s.blobs.Load()
 	if et == nil {
@@ -264,23 +256,21 @@ func (s *Server) InstallEpoch(ep *Epoch) error {
 		}
 		// Fall through: a writer restart renumbered same-or-newer content.
 	}
-	// A replica with tenants configured builds its per-account views before
-	// publishing the epoch: the et is still private to this goroutine, and
-	// the epoch checksum excludes views (they are derived data).
-	if s.tenantViewsEnabled() && ep.et.views == nil {
-		ep.et.buildViews()
-		ep.et.buildCombosViews(s.cfg.AccountMappings)
-	}
-	s.blobs.Store(ep.et)
-	s.asOf = ep.et.asOf
+	// The account views derive from this node's own mappings: the epoch is
+	// copied rather than mutated, since an in-process caller may be
+	// installing another server's live epoch (the checksum excludes views).
+	et := *ep.et
+	et.attachViews(s.cfg.AccountMappings)
+	s.blobs.Store(&et)
+	s.asOf = et.asOf
 	s.lastErr = ""
 	s.mu.Unlock()
-	s.epochSeq.Store(ep.et.seq)
-	s.metrics.blobBytes.Set(float64(ep.et.bytes))
-	s.metrics.tables.Set(float64(len(ep.et.tables)))
-	s.metrics.lastSuccess.SetTime(ep.et.asOf)
+	s.epochSeq.Store(et.seq)
+	s.metrics.blobBytes.Set(float64(et.size()))
+	s.metrics.tables.Set(float64(len(et.tables)))
+	s.metrics.lastSuccess.SetTime(et.asOf)
 	if hook := s.cfg.OnEpoch; hook != nil {
-		hook(ep)
+		hook(&Epoch{et: &et})
 	}
 	return nil
 }

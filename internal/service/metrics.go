@@ -84,7 +84,7 @@ func newServiceMetrics(r *telemetry.Registry) *serviceMetrics {
 		staleResponses: r.Counter("drafts_stale_responses_total",
 			"Reads served from tables older than the degraded threshold."),
 		adviseDeadline: r.Counter("drafts_advise_deadline_total",
-			"/v1/advise requests abandoned at the server-side compute budget."),
+			"Reference advise scans (MarshalHandler) abandoned at the compute budget."),
 		breakerState: r.Gauge("drafts_refresh_breaker_state",
 			"Refresh circuit breaker position: 0 closed, 1 open, 2 half-open."),
 		authFailures: r.Counter("drafts_auth_failures_total",

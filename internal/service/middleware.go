@@ -30,13 +30,11 @@ const traceparentHeader = "Traceparent"
 // balloon logs or responses.
 const maxRequestIDLen = 64
 
-// adviseWeight is the admission weight of /v1/advise and /v1/fleet: an
-// advise query may run a bid-escalation scan over the full retained
-// history (the fallback path — the surface fast path is a cheap array
-// lookup, but admission weighs the route, not the path taken), and a
-// fleet query scans a surface per combo — either way, tens of cached
-// table reads' worth of work, so they consume proportionally more of the
-// concurrency budget.
+// adviseWeight is the admission weight of /v1/advise and /v1/fleet: a
+// fleet query scans a surface per catalog combo, tens of cached table
+// reads' worth of work, so it consumes proportionally more of the
+// concurrency budget. Advise shares the weight until per-route costs are
+// measured.
 const adviseWeight = 4
 
 // requestID returns the correlation ID for r: the inbound X-Request-Id

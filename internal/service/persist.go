@@ -152,12 +152,6 @@ func (s *Server) RestoreSnapshot(payload []byte) error {
 		replayed += s.replayTail(k.combo, pred)
 		preds[k] = pred
 	}
-	s.mu.Lock()
-	s.tables = tables
-	s.preds = preds
-	s.asOf = snap.AsOf
-	s.lastErr = snap.LastErr
-	s.mu.Unlock()
 	// Resume the epoch counter where the snapshot left it, so the install
 	// below publishes as EpochSeq+1 and replication sequence numbers stay
 	// monotonic across a writer restart.
@@ -167,8 +161,9 @@ func (s *Server) RestoreSnapshot(payload []byte) error {
 	// Pre-encode the restored tables under the snapshot's original epoch:
 	// the warm restart serves the same bytes — and the same ETag, so client
 	// caches keep revalidating successfully — it served before the crash.
-	s.installBlobs(tables, preds, snap.AsOf)
-	s.metrics.tables.Set(float64(len(tables)))
+	if err := s.publish(tables, preds, nil, snap.AsOf, snap.LastErr, nil); err != nil {
+		return s.refreshFailed(nil, fmt.Errorf("service: restoring snapshot: %w", err))
+	}
 	s.logger.Info("snapshot restored",
 		"tables", len(tables), "predictors", len(preds),
 		"tail_ticks_replayed", replayed, "as_of", snap.AsOf)

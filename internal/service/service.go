@@ -114,9 +114,10 @@ type Config struct {
 	// QueueWait bounds how long an admitted-queue request may wait before
 	// it is shed (default 1s with admission control on).
 	QueueWait time.Duration
-	// AdviseBudget bounds the server-side compute spent on one /v1/advise
-	// bid-escalation scan; past it the request is abandoned with
-	// 503/overloaded. 0 disables the budget.
+	// AdviseBudget bounds the compute one reference advise scan may spend
+	// (MarshalHandler's /v1/advise); past it the request is abandoned with
+	// 503/overloaded. Handler answers advise from the epoch's surfaces and
+	// never scans. 0 disables the budget.
 	AdviseBudget time.Duration
 	// MaxStaleness converts degraded (serve-stale) reads into
 	// 503/stale refusals once the tables age past it. 0 serves stale
@@ -159,9 +160,10 @@ type Config struct {
 // outages, where a full recompute is no slower than replaying the gap.
 const DefaultIncrementalMaxTicks = 24 * 12
 
-// Server computes and serves bid tables, and retains each combo's online
-// predictor so /v1/advise can answer duration queries beyond the published
-// table span (escalating exactly as the library's Advise does).
+// Server computes and serves bid tables. A writer retains each combo's
+// online predictor for the incremental refresh path, the advise surfaces
+// and the snapshot; every request Handler serves is answered from the
+// installed epoch alone, so a replica answers identically.
 type Server struct {
 	cfg            Config
 	logger         *slog.Logger
@@ -186,14 +188,16 @@ type Server struct {
 	// service always did.
 	tenants *tenant.Registry
 
-	// blobs is the pre-encoded serving state for the read fast path,
-	// replaced wholesale by each refresh (or snapshot restore). Handlers
-	// Load it once per request and treat the contents as immutable, so
-	// cached GETs never touch s.mu. Nil until the first install, and reset
-	// to nil if encoding ever fails — readers then fall back to
-	// marshalling from s.tables under the lock.
+	// blobs is the installed epoch every /v1 read answers from, replaced
+	// wholesale by each refresh, snapshot restore or InstallEpoch.
+	// Handlers Load it once per request and treat the contents as
+	// immutable, so reads never touch s.mu. Nil only before the first
+	// install.
 	blobs atomic.Pointer[encodedTables]
 
+	// tables and preds are the writer's authoritative maps behind the
+	// installed epoch: the refresh path extends them, the snapshot saves
+	// them, and MarshalHandler's reference handlers read them.
 	mu      sync.RWMutex
 	tables  map[tableKey]core.BidTable
 	preds   map[tableKey]*core.Predictor
@@ -300,13 +304,14 @@ func newServer(cfg Config, role string) (*Server, error) {
 // previous refresh take the incremental path: the installed predictor is
 // cloned and fed only the new ticks, producing byte-identical tables at a
 // fraction of the full-window cost. The fresh tables are then pre-encoded
-// into the blob store and both are installed atomically.
+// into the next epoch and both are installed together.
 //
 // Refreshes are best-effort per combo: a predictor failure is counted,
 // logged, and surfaced through /healthz and the refresh metrics, but the
 // tables that did compute are still installed and keep serving. Refresh
-// returns an error only when failures left it with nothing at all — the
-// one case where the previous table set should stay in place.
+// returns an error only when failures left it with nothing at all, or the
+// tables could not be encoded — the cases where the previous epoch should
+// stay in place.
 func (s *Server) Refresh() error {
 	if s.role == roleReplica {
 		return fmt.Errorf("service: replica cannot refresh; epochs arrive via InstallEpoch")
@@ -320,13 +325,7 @@ func (s *Server) Refresh() error {
 	defer tr.End()
 	tr.Force()
 	if err := s.cfg.Faults.Check("service.refresh"); err != nil {
-		err = fmt.Errorf("service: refresh failed: %w", err)
-		tr.Fail(err)
-		s.metrics.refreshErrors.Inc()
-		s.mu.Lock()
-		s.lastErr = err.Error()
-		s.mu.Unlock()
-		return err
+		return s.refreshFailed(tr, fmt.Errorf("service: refresh failed: %w", err))
 	}
 	if s.cfg.PreRefresh != nil {
 		sp := tr.StartSpan("ticks.ingest")
@@ -445,13 +444,7 @@ func (s *Server) Refresh() error {
 	s.metrics.refreshIncremental.Add(uint64(incremental))
 
 	if len(fresh) == 0 && errCount > 0 {
-		err := fmt.Errorf("service: refresh produced no tables (%d failures, first: %w)", errCount, firstErr)
-		tr.Fail(err)
-		s.metrics.refreshErrors.Inc()
-		s.mu.Lock()
-		s.lastErr = err.Error()
-		s.mu.Unlock()
-		return err
+		return s.refreshFailed(tr, fmt.Errorf("service: refresh produced no tables (%d failures, first: %w)", errCount, firstErr))
 	}
 
 	// Surfaces are built before asOf is stamped: their construction cost
@@ -466,14 +459,9 @@ func (s *Server) Refresh() error {
 	if errCount > 0 {
 		errStr = fmt.Sprintf("%d combo failures, last: %v", errCount, lastErr)
 	}
-	s.mu.Lock()
-	s.tables = fresh
-	s.preds = freshPreds
-	s.asOf = now
-	s.lastErr = errStr
-	s.mu.Unlock()
-	s.installBlobsTraced(fresh, freshPreds, surfaces, now, tr)
-	s.metrics.tables.Set(float64(len(fresh)))
+	if err := s.publish(fresh, freshPreds, surfaces, now, errStr, tr); err != nil {
+		return s.refreshFailed(tr, fmt.Errorf("service: refresh failed: %w", err))
+	}
 	s.metrics.lastSuccess.SetTime(now)
 	if s.cfg.Tracer != nil {
 		s.logger.Info("refresh complete",
@@ -489,13 +477,26 @@ func (s *Server) Refresh() error {
 	return nil
 }
 
+// refreshFailed records a refresh (or restore) that installed nothing:
+// the previous epoch keeps serving, /healthz reports the error, and the
+// staleness policy takes its course. It returns err.
+func (s *Server) refreshFailed(tr *trace.Trace, err error) error {
+	tr.Fail(err)
+	s.metrics.refreshErrors.Inc()
+	s.mu.Lock()
+	s.lastErr = err.Error()
+	s.mu.Unlock()
+	return err
+}
+
 // extendPredictor attempts the incremental refresh path for one combo: if
 // the previously installed predictor has matching parameters and the series
 // has advanced by no more than incrementalMax ticks on the same grid, it
 // returns a clone of that predictor extended with exactly the new ticks.
-// Installed predictors are shared with in-flight /v1/advise requests and
-// must never be mutated, which is why the clone is mandatory. A nil return
-// means the caller must rebuild from the full window.
+// Installed predictors are shared with in-flight reference scans and
+// snapshots and must never be mutated, which is why the clone is
+// mandatory. A nil return means the caller must rebuild from the full
+// window.
 //
 // The clone's lifetime observation sequence then equals what a fresh
 // predictor sees over the full series, making the resulting tables
@@ -635,7 +636,7 @@ func (s *Server) refreshLoop(ctx context.Context) {
 	}
 }
 
-// table returns the stored table for a combo/probability.
+// table returns the stored table for a combo/probability (reference path).
 func (s *Server) table(c spot.Combo, prob float64) (core.BidTable, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -697,11 +698,15 @@ func FromJSON(tj TableJSON) (spot.Combo, core.BidTable) {
 //	GET /v1/advise?zone=Z&type=T&probability=P&duration=2h -> QuoteJSON
 //	POST /v1/fleet {"duration":"12h","count":5,...}        -> FleetResponse
 //
-// /v1/combos, /v1/predictions, and /v1/tables serve pre-encoded responses
-// with a strong ETag derived from the refresh epoch; requests carrying a
-// matching If-None-Match receive 304 Not Modified. Cached /v1/predictions
-// and /v1/advise GETs perform zero heap allocations (/v1/advise answers
-// from the epoch's precomputed surfaces; see adviseFast).
+// Every /v1 read answers from the installed epoch alone — its pre-encoded
+// tables, account views and advise surfaces — so a writer and a replica
+// holding the same epoch serve the same status, headers and bytes for
+// every request, escaped spellings and errors included. /v1/combos,
+// /v1/predictions, and /v1/tables carry a strong ETag derived from the
+// epoch; requests carrying a matching If-None-Match receive 304 Not
+// Modified. Cached /v1/predictions and /v1/advise GETs perform zero heap
+// allocations (/v1/advise answers from the epoch's precomputed surfaces;
+// see handleAdvise).
 //
 // Errors are reported as the uniform JSON envelope documented in
 // errors.go; every /v1 error body decodes into the same
@@ -772,19 +777,14 @@ func (s *Server) staleAfter() time.Duration {
 // break down which impairment applies.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RLock()
-	n := len(s.tables)
 	asOf := s.asOf
 	lastErr := s.lastErr
 	s.mu.RUnlock()
 	breaker := s.breakerState()
-	// Replicas never populate s.tables (they have no predictors); the
-	// installed epoch is the authoritative table count there.
+	var n int
 	var epoch uint64
 	if et := s.blobs.Load(); et != nil {
-		epoch = et.seq
-		if n == 0 {
-			n = len(et.tables)
-		}
+		n, epoch = len(et.tables), et.seq
 	}
 	resp := map[string]any{"status": "ok", "tables": n, "as_of": asOf,
 		"role": s.role, "epoch": epoch}
@@ -821,114 +821,123 @@ type QuoteJSON struct {
 	DurationSeconds float64 `json:"guaranteed_duration_seconds"`
 }
 
-// resolveCombo parses and (when an account applies) deobfuscates the
-// zone/type query parameters; it writes the error response itself.
+// comboReq is one resolved per-combo read: the zone the client addressed
+// (visible) and the physical zone it names, the instance type, the
+// probability as spelled (prob, the default spelled canonically) and as
+// parsed (probF), and the raw duration parameter.
+type comboReq struct {
+	visible, phys, typ string
+	prob               string
+	probF              float64
+	dur                string
+}
+
+// combo is the physical combo the request names.
+func (c comboReq) combo() spot.Combo {
+	return spot.Combo{Zone: spot.Zone(c.phys), Type: spot.InstanceType(c.typ)}
+}
+
+// resolveCombo is the one combo resolver behind /v1/predictions and
+// /v1/advise, on Handler and MarshalHandler alike. It reads the query,
+// validates zone, type and probability, and translates the visible zone
+// through the account's mapping; it writes the 400/403 error responses
+// itself.
 //
 // The account is derived from the authenticated tenant when the server has
 // a tenant registry; the legacy ?account= parameter survives only as a
 // deprecated alias that must match the tenant's account (the response then
 // carries Deprecation and Sunset headers). Without a registry ?account=
 // keeps its historical meaning unchanged.
-func (s *Server) resolveCombo(w http.ResponseWriter, r *http.Request) (visible spot.Zone, combo spot.Combo, prob float64, ok bool) {
-	zone := r.URL.Query().Get("zone")
-	ty := r.URL.Query().Get("type")
-	probStr := r.URL.Query().Get("probability")
-	if zone == "" || ty == "" {
+func (s *Server) resolveCombo(w http.ResponseWriter, r *http.Request) (c comboReq, ok bool) {
+	p := readQuery(r.URL.RawQuery)
+	if p.zone == "" || p.typ == "" {
 		writeErr(w, http.StatusBadRequest, codeInvalidArgument, "zone and type are required")
-		return
+		return c, false
 	}
-	prob = 0.99
-	if probStr != "" {
-		var err error
-		prob, err = strconv.ParseFloat(probStr, 64)
-		if err != nil || !(prob > 0 && prob < 1) {
-			writeErr(w, http.StatusBadRequest, codeInvalidArgument, "invalid probability %q", probStr)
-			return
-		}
+	c = comboReq{visible: p.zone, phys: p.zone, typ: p.typ, prob: p.prob, probF: 0.99, dur: p.dur}
+	if c.prob == "" {
+		c.prob = defaultProbKey
+	} else if f, err := strconv.ParseFloat(c.prob, 64); err != nil || !(f > 0 && f < 1) {
+		writeErr(w, http.StatusBadRequest, codeInvalidArgument, "invalid probability %q", p.prob)
+		return c, false
+	} else {
+		c.probF = f
 	}
-	visible = spot.Zone(zone)
-	canonical := visible
 	tn := tenantOf(w)
-	account := r.URL.Query().Get("account")
+	account := p.account
 	if account != "" && s.tenants != nil {
 		// Deprecated alias: tolerated only when it names the authenticated
 		// tenant's own account — anything else is a cross-tenant probe.
 		if tn == nil || tn.Account != account {
 			writeErr(w, http.StatusForbidden, codePermissionDenied,
 				"account %q does not match the authenticated tenant", account)
-			return
+			return c, false
 		}
 		markAccountParamDeprecated(w)
 	}
 	if account == "" && tn != nil {
 		account = tn.Account
 	}
-	if account != "" {
-		m, found := s.cfg.AccountMappings[account]
-		if !found {
-			if tn != nil && account == tn.Account {
-				// A tenant whose account has no mapping configured sees the
-				// canonical view rather than being locked out.
-				return visible, spot.Combo{Zone: canonical, Type: spot.InstanceType(ty)}, prob, true
-			}
-			writeErr(w, http.StatusForbidden, codePermissionDenied, "no zone mapping configured for account %q", account)
-			return
-		}
-		var err error
-		canonical, err = m.Physical(visible)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, codeInvalidArgument, "account %q: %v", account, err)
-			return
-		}
+	if account == "" {
+		return c, true
 	}
-	return visible, spot.Combo{Zone: canonical, Type: spot.InstanceType(ty)}, prob, true
+	phys, mapped, known := s.physZone(account, c.visible)
+	switch {
+	case !mapped && (tn == nil || account != tn.Account):
+		// Only a tenant's own unmapped account is tolerated: it sees the
+		// canonical view rather than being locked out.
+		writeErr(w, http.StatusForbidden, codePermissionDenied, "no zone mapping configured for account %q", account)
+		return c, false
+	case !known:
+		_, err := s.cfg.AccountMappings[account].Physical(spot.Zone(c.visible))
+		writeErr(w, http.StatusBadRequest, codeInvalidArgument, "account %q: %v", account, err)
+		return c, false
+	}
+	c.phys = phys
+	return c, true
 }
 
-// handleAdvise answers the user question directly: the smallest bid that
-// guarantees the requested duration, escalating past the published table
-// span when necessary. Requests are answered from the epoch's precomputed
-// advise surfaces when possible (adviseFast — an array lookup, no deadline
-// needed); everything the fast path cannot serve falls back to the
-// original bid-escalation scan below.
-func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
-	if s.adviseFast(w, r) {
-		return
+// physZone translates a zone in account's namespace to the physical zone
+// it names. mapped reports whether the account has a mapping configured
+// (an account without one sees canonical names, so phys is visible);
+// known reports whether the mapping names the zone.
+func (s *Server) physZone(account, visible string) (phys string, mapped, known bool) {
+	if account == "" {
+		return visible, false, true
 	}
-	s.handleAdviseScan(w, r)
+	m, mapped := s.cfg.AccountMappings[account]
+	if !mapped {
+		return visible, false, true
+	}
+	p, known := m[spot.Zone(visible)]
+	return string(p), true, known
 }
 
-// handleAdviseScan is the original advise path: it runs the predictor's
-// bid-escalation scan under the server-side AdviseBudget (and the client's
-// own disconnection) — past either deadline the request is abandoned with
-// 503/overloaded rather than burning CPU on an answer nobody is waiting
-// for. It remains the fallback for requests the surface path cannot serve
-// (account mapping, escaped queries, surface-less epochs) and the
-// regression baseline MarshalHandler exposes to draftsbench and the
-// equivalence tests.
+// handleAdviseScan is the reference advise path MarshalHandler serves: it
+// runs the predictor's bid-escalation scan under the server-side
+// AdviseBudget (and the client's own disconnection) — past either
+// deadline the request is abandoned with 503/overloaded. Handler never
+// reaches it; it is the oracle the surface path is held byte-identical
+// to by the equivalence tests and draftsbench.
 func (s *Server) handleAdviseScan(w http.ResponseWriter, r *http.Request) {
-	visible, combo, prob, ok := s.resolveCombo(w, r)
+	c, ok := s.resolveCombo(w, r)
 	if !ok {
 		return
 	}
-	durStr := r.URL.Query().Get("duration")
-	if durStr == "" {
-		writeErr(w, http.StatusBadRequest, codeInvalidArgument, "duration is required (e.g. 2h30m)")
-		return
-	}
-	dur, err := time.ParseDuration(durStr)
-	if err != nil || dur <= 0 {
-		writeErr(w, http.StatusBadRequest, codeInvalidArgument, "invalid duration %q", durStr)
+	dur, ok := parseAdviseDuration(w, c.dur)
+	if !ok {
 		return
 	}
 	// Predictors are never mutated after a refresh installs them (Advise
 	// and its callees are read-only), so sharing one across concurrent
 	// requests is safe.
+	combo := c.combo()
 	s.mu.RLock()
-	pred := s.preds[tableKey{combo: combo, prob: prob}]
+	pred := s.preds[tableKey{combo: combo, prob: c.probF}]
 	asOf := s.asOf
 	s.mu.RUnlock()
 	if pred == nil {
-		writeErr(w, http.StatusNotFound, codeNotFound, "no predictor for %s at probability %v", combo, prob)
+		writeNotFound(w, "predictor", c)
 		return
 	}
 	if !s.checkStaleness(w, asOf) {
@@ -953,9 +962,9 @@ func (s *Server) handleAdviseScan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, QuoteJSON{
-		Zone:            string(visible),
-		InstanceType:    string(combo.Type),
-		Probability:     prob,
+		Zone:            c.visible,
+		InstanceType:    c.typ,
+		Probability:     c.probF,
 		Bid:             quote.Bid,
 		DurationSeconds: quote.Duration.Seconds(),
 	})

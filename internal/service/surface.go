@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"time"
 
 	"github.com/drafts-go/drafts/internal/core"
-	"github.com/drafts-go/drafts/internal/spot"
 )
 
 // Advise surfaces ride the same epoch lifecycle as the pre-encoded table
@@ -89,9 +87,9 @@ func decodeSurface(p []byte) (*core.AdviseSurface, error) {
 }
 
 // buildSurfaces materializes one surface per table whose predictor is
-// available. Combos without a predictor (replica-built epochs use
-// NewEpochFull instead; a writer always has them) simply get no surface —
-// their advise requests fall back to the scan path.
+// available. A combo without one (a snapshot entry saved without its
+// predictor, or a surface past core's size bound) simply gets no surface,
+// and its advise requests answer 404 on every node.
 func buildSurfaces(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Predictor) map[blobKey]*surfaceEntry {
 	if len(preds) == 0 {
 		return nil
@@ -151,23 +149,20 @@ func (et *encodedTables) attachSurfaces(surfaces map[blobKey]*surfaceEntry) {
 	}
 }
 
-// lookupSurface resolves a (zone, type, probability-string) triple to its
-// surface, canonicalizing non-canonical probability spellings on miss,
-// exactly like lookupBlob.
-func (et *encodedTables) lookupSurface(zone, typ, prob string) (*core.AdviseSurface, bool) {
-	if se, ok := et.surfaces[blobKey{zone: zone, typ: typ, prob: prob}]; ok {
-		return se.surf, true
+// surface returns the advise surface answering c, retrying a
+// non-canonical probability spelling under the canonical one exactly like
+// table. Surfaces are keyed by physical combo: a mapped tenant's quote is
+// the physical market's, rendered under its visible zone.
+func (et *encodedTables) surface(c comboReq) (*core.AdviseSurface, bool) {
+	if et == nil {
+		return nil, false
 	}
-	if f, err := strconv.ParseFloat(prob, 64); err == nil {
-		if se, ok := et.surfaces[blobKey{zone: zone, typ: typ, prob: probKey(f)}]; ok {
-			return se.surf, true
-		}
+	se, ok := et.surfaces[blobKey{zone: c.phys, typ: c.typ, prob: c.prob}]
+	if !ok {
+		se, ok = et.surfaces[blobKey{zone: c.phys, typ: c.typ, prob: probKey(c.probF)}]
 	}
-	return nil, false
-}
-
-// surfaceComboString renders the canonical combo spelling used in advise
-// error messages, matching spot.Combo.String.
-func surfaceComboString(zone, typ string) string {
-	return spot.Combo{Zone: spot.Zone(zone), Type: spot.InstanceType(typ)}.String()
+	if !ok {
+		return nil, false
+	}
+	return se.surf, true
 }

@@ -163,51 +163,40 @@ func TestAuthMatrix(t *testing.T) {
 }
 
 // TestTenantViewMatchesMarshal holds the precomputed per-tenant view
-// blobs byte-identical to the marshal path for authenticated requests:
-// same server, same epoch, fast handler vs MarshalHandler, across zone
-// spellings, both mapped zones, the identity zone, and error shapes.
-// It is the tenant-scoped sibling of TestFastPathMatchesMarshal.
+// blobs to the marshal path for authenticated requests: the writer's and
+// a replica's Handler must answer exactly as MarshalHandler does — status,
+// headers and bytes — across zone spellings, both mapped zones, the
+// identity zone, the deprecated ?account= alias, and error shapes. It is
+// the tenant-scoped sibling of TestFastPathMatchesMarshal.
 func TestTenantViewMatchesMarshal(t *testing.T) {
 	srv := authedServer(t, tenant.Config{RPS: 1e6})
 	fast := srv.Handler()
-	slow := srv.MarshalHandler()
-	auth := map[string]string{"Authorization": "Bearer ak_live_acme_1"}
+	handlers := equivalenceHandlers(t, srv)
+	// A fixed inbound request ID makes error envelopes comparable byte for
+	// byte (the middleware echoes it instead of minting one per request).
+	auth := map[string]string{"Authorization": "Bearer ak_live_acme_1", requestIDHeader: "equivalence"}
 	targets := []string{
 		"/v1/predictions?zone=us-east-1b&type=c4.large&probability=0.99",   // mapped: phys us-east-1c
 		"/v1/predictions?zone=us-east-1c&type=c4.large&probability=0.95",   // mapped: phys us-east-1b
 		"/v1/predictions?zone=us-west-1a&type=c3.2xlarge&probability=0.99", // identity mapping
 		"/v1/predictions?zone=us-east-1b&type=c4.large",                    // default probability
 		"/v1/predictions?zone=us-east-1b&type=c4.large&probability=0.990",  // non-canonical spelling
+		"/v1/predictions?zone=us-east-1%62&type=c4.large",                  // escaped, mapped
+		"/v1/predictions?zone=us-east-1c&type=c4.large&account=acct-42",    // deprecated alias
+		"/v1/predictions?zone=us-east-1c&type=c4.large&account=acct-7",     // alias mismatch -> 403
 		"/v1/predictions?zone=nowhere-9z&type=c4.large",                    // unmapped zone -> 400
 		"/v1/predictions?zone=us-east-1b&type=nope.large",                  // unknown combo -> 404
-		"/v1/advise?zone=us-east-1b&type=c4.large&duration=30m",            // advise fast path, mapped
+		"/v1/advise?zone=us-east-1b&type=c4.large&duration=30m",            // mapped
 		"/v1/advise?zone=us-west-1a&type=c3.2xlarge&duration=30m&probability=0.95",
 		"/v1/advise?zone=us-east-1b&type=c4.large&duration=20000h", // refusal
-	}
-	// Error envelopes carry a per-request random request_id (the tenant
-	// middleware is active on both handlers); everything else must match
-	// byte for byte.
-	stripRequestID := func(b []byte) []byte {
-		i := bytes.Index(b, []byte(`,"request_id":"`))
-		if i < 0 {
-			return b
-		}
-		rest := b[i+len(`,"request_id":"`):]
-		j := bytes.IndexByte(rest, '"')
-		if j < 0 {
-			return b
-		}
-		return append(append([]byte{}, b[:i]...), rest[j+1:]...)
+		"/v1/advise?zone=us-east-1%62&type=c4.large&duration=30m",  // escaped, mapped
+		"/v1/advise?zone=us-east-1c&type=c4.large&duration=30m&account=acct-42",
+		"/v1/advise?zone=nowhere-9z&type=c4.large&duration=30m",
+		"/v1/advise?zone=us-east-1b&type=c4.large", // missing duration
+		"/v1/combos",
 	}
 	for _, target := range targets {
-		fastCode, _, fastBody := getAuthed(t, fast, target, auth)
-		slowCode, _, slowBody := getAuthed(t, slow, target, auth)
-		if fastCode != slowCode {
-			t.Errorf("%s: fast status %d, marshal status %d", target, fastCode, slowCode)
-		}
-		if !bytes.Equal(stripRequestID(fastBody), stripRequestID(slowBody)) {
-			t.Errorf("%s: bodies differ:\nfast:    %s\nmarshal: %s", target, fastBody, slowBody)
-		}
+		checkSameResponses(t, target, auth, handlers)
 	}
 
 	// The tenant's view must be labelled with its own zone name while

@@ -347,10 +347,6 @@ func (r *Registry) Tenants() []*Tenant { return r.tenants }
 // draftsd derives obfuscation mappings for.
 func (r *Registry) Accounts() []string { return r.accounts }
 
-// HasAccounts reports whether any tenant carries an account mapping, i.e.
-// whether the blob store needs per-tenant zone views at all.
-func (r *Registry) HasAccounts() bool { return len(r.accounts) > 0 }
-
 // SetConcurrencyShare installs each tenant's weighted share of the
 // admission semaphore's capacity: ceil(capacity x oversub x weight /
 // total weight), floored at 1 and clamped to the full capacity. The
