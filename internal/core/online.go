@@ -150,22 +150,62 @@ func (p *Predictor) GuaranteeFor(bid float64) (time.Duration, bool) {
 // minimum bid, then 5% increments up to TableSpanMult times the minimum
 // (§3.3). Durations are monotone non-decreasing in the bid.
 func (p *Predictor) Table() (BidTable, bool) {
+	t, _, ok := p.TableAndSurface()
+	return t, ok
+}
+
+// TableAndSurface is the one walk over the bid-escalation sequence, and
+// Table and Surface are its projections: the minimum bid, then TableRatio
+// steps, each rounded to the tick grid and clamped at the ceiling one tick
+// above 1.25x the highest retained price. Every distinct clamped tick costs
+// one GuaranteeFor and serves both outputs. A table bid above the ceiling
+// takes the ceiling's guarantee, which is exact: no retained price reaches
+// either bid, so no survival episode resolves and the bound depends only
+// on the window length. The surface is nil when the walk passes
+// maxSurfaceEntries before the ceiling; ok is false when there is no price
+// history yet.
+func (p *Predictor) TableAndSurface() (BidTable, *AdviseSurface, bool) {
 	bid0, ok := p.MinBid()
 	if !ok {
-		return BidTable{}, false
+		return BidTable{}, nil, false
 	}
-	t := BidTable{At: p.Now(), Probability: p.params.Probability}
-	limit := bid0 * p.params.TableSpanMult
-	for bid := bid0; bid <= limit+1e-12; bid *= p.params.TableRatio {
-		tb := spot.RoundToTick(bid)
-		if n := len(t.Points); n > 0 && t.Points[n-1].Bid >= tb {
-			continue
+	maxSeen := 0.0
+	for _, v := range p.hist() {
+		if v > maxSeen {
+			maxSeen = v
 		}
-		d, _ := p.GuaranteeFor(tb)
-		t.Points = append(t.Points, BidPoint{Bid: tb, Duration: d})
+	}
+	ceiling := max(spot.Ticks(spot.NextTickAbove(1.25*maxSeen)), spot.Ticks(bid0))
+	limit := bid0*p.params.TableSpanMult + 1e-12
+	t := BidTable{At: p.Now(), Probability: p.params.Probability}
+	var bids, guar []uint32       // distinct clamped ticks walked, guarantees in steps
+	surface, ended := true, false // ended: the surface reached the ceiling or was abandoned
+	for bid := bid0; !ended || bid <= limit; bid *= p.params.TableRatio {
+		tick := spot.Ticks(bid)
+		at := min(tick, ceiling)
+		if n := len(bids); n == 0 || int(bids[n-1]) < at {
+			g, _ := p.GuaranteeFor(spot.FromTicks(at))
+			bids = append(bids, uint32(at))
+			guar = append(guar, uint32(g/p.step))
+		}
+		tb := spot.FromTicks(tick)
+		if n := len(t.Points); bid <= limit && (n == 0 || t.Points[n-1].Bid < tb) {
+			t.Points = append(t.Points, BidPoint{Bid: tb, Duration: time.Duration(guar[len(guar)-1]) * p.step})
+		}
+		if at >= ceiling {
+			ended = true
+		} else if len(bids) > maxSurfaceEntries {
+			ended, surface = true, false
+		}
 	}
 	enforceMonotone(t.Points)
-	return t, true
+	if !surface {
+		return t, nil, true
+	}
+	s := &AdviseSurface{Probability: p.params.Probability, Step: p.step, Bids: bids, Guar: guar}
+	s.finish()
+	mSurfaceBuilds.Load().Inc()
+	return t, s, true
 }
 
 // Advise returns the smallest bid that guarantees the requested duration

@@ -21,8 +21,9 @@ import (
 // price history.
 //
 // Surfaces are immutable after construction. Build them only through
-// (*Predictor).Surface or NewAdviseSurface; a hand-assembled literal lacks
-// the internal running-max and grid indexes and will not answer lookups.
+// (*Predictor).TableAndSurface (or its Surface projection) or
+// NewAdviseSurface; a hand-assembled literal lacks the internal running-max
+// and grid indexes and will not answer lookups.
 type AdviseSurface struct {
 	// Probability is the durability target every guarantee is made at.
 	Probability float64
@@ -56,49 +57,13 @@ type AdviseSurface struct {
 const maxSurfaceEntries = 1 << 16
 
 // Surface materializes the AdviseContext escalation for the predictor's
-// current history. It walks the identical bid sequence — minimum bid,
-// TableRatio escalation, tick rounding, ceiling clamp at one tick above
-// 1.25x the highest retained price — so Lookup on the result returns
-// bit-identical quotes to the scan. ok is false when there is no price
-// history yet (the scan would also refuse) or the escalation exceeds
-// maxSurfaceEntries.
+// current history: the same bid sequence the scan walks (see
+// TableAndSurface), so Lookup on the result returns bit-identical quotes to the scan. ok is
+// false when there is no price history yet (the scan would also refuse) or
+// the escalation exceeds maxSurfaceEntries.
 func (p *Predictor) Surface() (*AdviseSurface, bool) {
-	bid0, ok := p.MinBid()
-	if !ok {
-		return nil, false
-	}
-	maxSeen := 0.0
-	for _, v := range p.hist() {
-		if v > maxSeen {
-			maxSeen = v
-		}
-	}
-	ceiling := spot.NextTickAbove(1.25 * maxSeen)
-	if ceiling < bid0 {
-		ceiling = bid0
-	}
-	s := &AdviseSurface{Probability: p.params.Probability, Step: p.step}
-	for bid := bid0; ; bid *= p.params.TableRatio {
-		tb := spot.RoundToTick(bid)
-		if tb > ceiling {
-			tb = ceiling
-		}
-		tick := uint32(spot.Ticks(tb))
-		if n := len(s.Bids); n == 0 || s.Bids[n-1] < tick {
-			g, _ := p.GuaranteeFor(tb)
-			s.Bids = append(s.Bids, tick)
-			s.Guar = append(s.Guar, uint32(g/p.step))
-		}
-		if tb >= ceiling {
-			break
-		}
-		if len(s.Bids) > maxSurfaceEntries {
-			return nil, false
-		}
-	}
-	s.finish()
-	mSurfaceBuilds.Load().Inc()
-	return s, true
+	_, s, _ := p.TableAndSurface()
+	return s, s != nil
 }
 
 // NewAdviseSurface reassembles a surface from its wire arrays (a replica

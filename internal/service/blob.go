@@ -123,11 +123,9 @@ func epochETag(asOf time.Time, n int) string {
 	return `"` + strconv.FormatUint(h.Sum64(), 16) + `"`
 }
 
-// encodeTables pre-encodes every table, the combo listing, and the
-// advise surfaces for one epoch. Prebuilt surfaces may be passed in (the
-// refresh path builds them before stamping asOf, so surface construction
-// time doesn't age the epoch); nil surfaces are derived from preds here.
-func encodeTables(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Predictor, surfaces map[blobKey]*surfaceEntry, asOf time.Time) (*encodedTables, error) {
+// encodeTables pre-encodes every table and the combo listing for one
+// epoch; publish attaches the advise surfaces.
+func encodeTables(tables map[tableKey]core.BidTable, asOf time.Time) (*encodedTables, error) {
 	et := &encodedTables{
 		asOf:   asOf,
 		etag:   epochETag(asOf, len(tables)),
@@ -140,11 +138,7 @@ func encodeTables(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Pr
 		if err != nil {
 			return nil, fmt.Errorf("service: encoding table for %s/p=%v: %w", k.combo, k.prob, err)
 		}
-		et.tables[blobKey{
-			zone: string(k.combo.Zone),
-			typ:  string(k.combo.Type),
-			prob: probKey(k.prob),
-		}] = body
+		et.tables[k.blob()] = body
 		et.bytes += len(body)
 		seen[k.combo] = true
 	}
@@ -159,10 +153,6 @@ func encodeTables(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Pr
 	}
 	et.combos = combos
 	et.bytes += len(combos)
-	if surfaces == nil {
-		surfaces = buildSurfaces(tables, preds)
-	}
-	et.attachSurfaces(surfaces)
 	return et, nil
 }
 
@@ -246,20 +236,25 @@ func (et *encodedTables) attachViews(mappings map[string]obfuscate.Mapping) {
 	}
 }
 
-// publish encodes tables (with their advise surfaces and this node's
-// account views) into the next epoch and installs it together with the
+// publish encodes tables, their advise surfaces and this node's account
+// views into the next epoch and installs it together with the
 // authoritative maps behind it. An encoding failure installs nothing — the
 // previous epoch keeps serving — and is returned for the caller to record
-// as a failed refresh. Snapshot restores pass a nil trace (and nil
-// surfaces, derived from preds).
-func (s *Server) publish(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Predictor, surfaces map[blobKey]*surfaceEntry, asOf time.Time, lastErr string, tr *trace.Trace) error {
+// as a failed refresh. A table without a surface (a snapshot entry saved
+// without its predictor, or a surface past core's size bound) gets none,
+// and its advise requests answer 404 on every node. Snapshot restores pass
+// a nil trace.
+func (s *Server) publish(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Predictor, surfaces map[tableKey]*core.AdviseSurface, asOf time.Time, lastErr string, tr *trace.Trace) error {
 	began := time.Now()
 	sp := tr.StartSpan("blob.encode")
-	et, err := encodeTables(tables, preds, surfaces, asOf)
+	et, err := encodeTables(tables, asOf)
 	sp.EndErr(err)
 	if err != nil {
 		return err
 	}
+	ssp := tr.StartSpan("surfaces.build")
+	et.attachSurfaces(encodeSurfaces(surfaces))
+	ssp.End()
 	if len(s.cfg.AccountMappings) > 0 {
 		vsp := tr.StartSpan("blob.views")
 		et.attachViews(s.cfg.AccountMappings)

@@ -108,14 +108,16 @@ func BenchmarkNotModified(b *testing.B) {
 }
 
 // BenchmarkRefreshFull and BenchmarkRefreshIncremental bracket the refresh
-// cost: full recompute of every window versus clone + no new ticks.
+// cost: full recompute of every window (a fresh server per iteration, so no
+// installed predictor exists to extend) versus clone + no new ticks.
 func BenchmarkRefreshFull(b *testing.B) {
-	srv, err := New(Config{Source: benchStore(b), MaxHistory: 9000, IncrementalMaxTicks: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	st := benchStore(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		srv, err := New(Config{Source: st, MaxHistory: 9000})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if err := srv.Refresh(); err != nil {
 			b.Fatal(err)
 		}

@@ -422,7 +422,7 @@ func TestIncrementalRefreshEquivalence(t *testing.T) {
 	}
 
 	// A from-scratch server over the identical grown store.
-	fresh, err := New(Config{Source: st, MaxHistory: 9000, IncrementalMaxTicks: -1})
+	fresh, err := New(Config{Source: st, MaxHistory: 9000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,12 +473,21 @@ func TestExtendPredictorDeclines(t *testing.T) {
 	if srv.extendPredictor(old, want, shifted) != nil {
 		t.Error("grid-misaligned series extended")
 	}
-	saved := srv.incrementalMax
-	srv.incrementalMax = 0
-	if srv.extendPredictor(old, want, series) != nil {
-		t.Error("disabled incremental path extended")
+	// A gap of exactly the cap is replayed; one tick more is rebuilt from
+	// the series instead.
+	grown := func(gap int) *history.Series {
+		prices := append([]float64(nil), series.Prices...)
+		for i := 0; i < gap; i++ {
+			prices = append(prices, series.Prices[len(series.Prices)-1])
+		}
+		return &history.Series{Start: series.Start, Step: series.Step, Prices: prices}
 	}
-	srv.incrementalMax = saved
+	if srv.extendPredictor(old, want, grown(incrementalMaxTicks)) == nil {
+		t.Error("gap at the cap declined")
+	}
+	if srv.extendPredictor(old, want, grown(incrementalMaxTicks+1)) != nil {
+		t.Error("gap beyond the cap extended")
+	}
 }
 
 // TestEncodeFailureInstallsNothing pins the encode-failure policy: an

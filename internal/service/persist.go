@@ -109,12 +109,12 @@ func (s *Server) EncodeSnapshot() ([]byte, error) {
 	return json.Marshal(snap)
 }
 
-// RestoreSnapshot installs a previously encoded serving state, then feeds
-// each restored predictor the history ticks newer than its last observation
-// (the WAL tail that arrived after the snapshot was cut). The tables
-// themselves are installed exactly as saved — a warm restart serves the
-// same bytes it served before the crash until the next refresh replaces
-// them.
+// RestoreSnapshot installs a previously encoded serving state exactly as
+// saved: the tables, and the advise surfaces the saved predictors give, so
+// a warm restart serves the same bytes on every endpoint it served before
+// the crash. History ticks newer than the snapshot (the WAL tail) reach
+// the predictors through the next refresh's incremental path, like the
+// ticks of any refresh cycle.
 func (s *Server) RestoreSnapshot(payload []byte) error {
 	var snap serviceSnapshot
 	if err := json.Unmarshal(payload, &snap); err != nil {
@@ -128,7 +128,7 @@ func (s *Server) RestoreSnapshot(payload []byte) error {
 	}
 	tables := make(map[tableKey]core.BidTable, len(snap.Entries))
 	preds := make(map[tableKey]*core.Predictor, len(snap.Entries))
-	replayed := 0
+	surfaces := make(map[tableKey]*core.AdviseSurface, len(snap.Entries))
 	for _, e := range snap.Entries {
 		k := tableKey{
 			combo: spot.Combo{Zone: spot.Zone(e.Zone), Type: spot.InstanceType(e.Type)},
@@ -149,8 +149,10 @@ func (s *Server) RestoreSnapshot(payload []byte) error {
 		if err != nil {
 			return fmt.Errorf("service: restoring predictor for %s/p=%v: %w", k.combo, k.prob, err)
 		}
-		replayed += s.replayTail(k.combo, pred)
 		preds[k] = pred
+		if surf, ok := pred.Surface(); ok {
+			surfaces[k] = surf
+		}
 	}
 	// Resume the epoch counter where the snapshot left it, so the install
 	// below publishes as EpochSeq+1 and replication sequence numbers stay
@@ -161,31 +163,10 @@ func (s *Server) RestoreSnapshot(payload []byte) error {
 	// Pre-encode the restored tables under the snapshot's original epoch:
 	// the warm restart serves the same bytes — and the same ETag, so client
 	// caches keep revalidating successfully — it served before the crash.
-	if err := s.publish(tables, preds, nil, snap.AsOf, snap.LastErr, nil); err != nil {
+	if err := s.publish(tables, preds, surfaces, snap.AsOf, snap.LastErr, nil); err != nil {
 		return s.refreshFailed(nil, fmt.Errorf("service: restoring snapshot: %w", err))
 	}
 	s.logger.Info("snapshot restored",
-		"tables", len(tables), "predictors", len(preds),
-		"tail_ticks_replayed", replayed, "as_of", snap.AsOf)
+		"tables", len(tables), "predictors", len(preds), "as_of", snap.AsOf)
 	return nil
-}
-
-// replayTail feeds pred every source tick strictly newer than its last
-// observation, returning how many it consumed. The predictor knows its own
-// clock (Now), so no separate watermark travels in the snapshot.
-func (s *Server) replayTail(c spot.Combo, pred *core.Predictor) int {
-	series, ok := s.cfg.Source.Full(c)
-	if !ok || series.Len() == 0 {
-		return 0
-	}
-	next := series.IndexOf(pred.Now()) + 1
-	if next < 0 {
-		next = 0
-	}
-	n := 0
-	for i := next; i < series.Len(); i++ {
-		pred.Observe(series.Prices[i])
-		n++
-	}
-	return n
 }

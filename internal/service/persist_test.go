@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,7 +11,6 @@ import (
 	"time"
 
 	"github.com/drafts-go/drafts/internal/history"
-	"github.com/drafts-go/drafts/internal/spot"
 )
 
 // fetch returns the raw response body for a path on the test server.
@@ -120,9 +120,74 @@ func TestSnapshotRestoreResumesEpochSeq(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreReplaysTail verifies that predictors restored from a
-// snapshot catch up on history ticks appended after the snapshot was cut.
-func TestSnapshotRestoreReplaysTail(t *testing.T) {
+// spikeTail appends n ticks at three times each test combo's last price:
+// history that arrives after the last snapshot, while the writer is down.
+func spikeTail(st *history.Store, n int) {
+	for _, c := range testCombos {
+		ser, _ := st.Full(c)
+		last := ser.Prices[ser.Len()-1]
+		for i := 0; i < n; i++ {
+			st.Append(c, t0, 3*last)
+		}
+	}
+}
+
+// readTargets are the GETs the restore tests compare: every table, and
+// advise at grid, off-grid and unguaranteeable durations.
+func readTargets() []string {
+	targets := []string{"/v1/combos"}
+	for _, c := range testCombos {
+		for _, prob := range []float64{0.95, 0.99} {
+			q := fmt.Sprintf("zone=%s&type=%s&probability=%v", c.Zone, c.Type, prob)
+			targets = append(targets, "/v1/predictions?"+q)
+			for _, d := range []string{"1h", "90m", "6h", "24h", "100h", "2000h"} {
+				targets = append(targets, "/v1/advise?"+q+"&duration="+d)
+			}
+		}
+	}
+	return targets
+}
+
+// fleetBodies are the /v1/fleet requests the restore tests compare.
+var fleetBodies = []string{
+	`{"duration":"1h","probability":0.99,"count":6}`,
+	`{"duration":"6h","probability":0.95,"count":6}`,
+	`{"duration":"30h","probability":0.99,"count":2}`,
+}
+
+// checkSameBodies fails unless a and b answer every read target and fleet
+// request with the same status and body. Requests carry a fixed request ID
+// so error envelopes compare too. Fleet bodies carry their epoch's as_of;
+// unless a and b serve the same epoch, b's is swapped for a's first.
+func checkSameBodies(t *testing.T, a, b http.Handler, sameEpoch bool) {
+	t.Helper()
+	hdr := map[string]string{requestIDHeader: "restore-check"}
+	for _, target := range readTargets() {
+		codeA, _, bodyA := getAuthed(t, a, target, hdr)
+		codeB, _, bodyB := getAuthed(t, b, target, hdr)
+		if codeA != codeB || !bytes.Equal(bodyA, bodyB) {
+			t.Errorf("GET %s:\n %d %s\n %d %s", target, codeA, bodyA, codeB, bodyB)
+		}
+	}
+	for _, body := range fleetBodies {
+		codeA, respA, bodyA := postFleet(t, a, body)
+		codeB, respB, bodyB := postFleet(t, b, body)
+		if !sameEpoch {
+			asOfA, _ := json.Marshal(respA.AsOf)
+			asOfB, _ := json.Marshal(respB.AsOf)
+			bodyB = bytes.Replace(bodyB, asOfB, asOfA, 1)
+		}
+		if codeA != codeB || !bytes.Equal(bodyA, bodyB) {
+			t.Errorf("POST /v1/fleet %s:\n %d %s\n %d %s", body, codeA, bodyA, codeB, bodyB)
+		}
+	}
+}
+
+// TestSnapshotRestoreServesSavedEpoch pins that a restore serves the epoch
+// exactly as saved even when history ticks arrived after the snapshot was
+// cut: advise and fleet answer from the saved predictors' surfaces, the
+// same bytes the pre-crash writer served beside the same tables and ETag.
+func TestSnapshotRestoreServesSavedEpoch(t *testing.T) {
 	hist := testStore(t)
 	srv, err := New(Config{Source: hist, MaxHistory: 9000})
 	if err != nil {
@@ -135,14 +200,7 @@ func TestSnapshotRestoreReplaysTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Ticks arrive while the process is down.
-	const extra = 7
-	for i := 0; i < extra; i++ {
-		for _, c := range testCombos {
-			ser, _ := hist.Full(c)
-			hist.Append(c, t0, ser.Prices[ser.Len()-1])
-		}
-	}
+	spikeTail(hist, 12)
 
 	restored, err := New(Config{Source: hist, MaxHistory: 9000})
 	if err != nil {
@@ -151,17 +209,59 @@ func TestSnapshotRestoreReplaysTail(t *testing.T) {
 	if err := restored.RestoreSnapshot(payload); err != nil {
 		t.Fatal(err)
 	}
-	wantNow := t0.Add(time.Duration(9000+extra-1) * spot.UpdatePeriod)
-	restored.mu.RLock()
-	defer restored.mu.RUnlock()
-	if len(restored.preds) == 0 {
-		t.Fatal("no predictors restored")
+	if restored.CurrentEpoch().NumSurfaces() != len(testCombos)*2 {
+		t.Fatalf("restore installed %d surfaces, want %d", restored.CurrentEpoch().NumSurfaces(), len(testCombos)*2)
 	}
-	for k, pred := range restored.preds {
-		if !pred.Now().Equal(wantNow) {
-			t.Errorf("%s/p=%v: predictor clock %v, want %v (tail not replayed)",
-				k.combo, k.prob, pred.Now(), wantNow)
-		}
+	checkSameBodies(t, srv.Handler(), restored.Handler(), true)
+}
+
+// TestRestoreThenRefreshMatchesFromScratch pins how a restored writer
+// catches up on the ticks that arrived after its snapshot: the first
+// refresh feeds them through the incremental path (or, past its cap,
+// rebuilds from the series), and then serves exactly what a server
+// computing from scratch over the grown store serves.
+func TestRestoreThenRefreshMatchesFromScratch(t *testing.T) {
+	for _, gap := range []int{12, incrementalMaxTicks + 1} {
+		t.Run(fmt.Sprintf("tail%d", gap), func(t *testing.T) {
+			hist := testStore(t)
+			srv, err := New(Config{Source: hist, MaxHistory: 9000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+			payload, err := srv.EncodeSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			spikeTail(hist, gap)
+
+			restored, err := New(Config{Source: hist, MaxHistory: 9000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := restored.RestoreSnapshot(payload); err != nil {
+				t.Fatal(err)
+			}
+			key := tableKey{combo: testCombos[0], prob: 0.99}
+			pred := restored.preds[key]
+			series, _ := hist.Full(testCombos[0])
+			if incremental := restored.extendPredictor(pred, pred.Params(), series) != nil; incremental != (gap <= incrementalMaxTicks) {
+				t.Fatalf("tail of %d ticks: incremental path taken = %v", gap, incremental)
+			}
+			if err := restored.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+			scratch, err := New(Config{Source: hist, MaxHistory: 9000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := scratch.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+			checkSameBodies(t, restored.Handler(), scratch.Handler(), false)
+		})
 	}
 }
 

@@ -57,16 +57,6 @@ type Config struct {
 	// Smaller values trade refresh latency for a quieter machine — useful
 	// when draftsd shares a host.
 	RefreshWorkers int
-	// IncrementalMaxTicks caps how many new price ticks a combo may have
-	// accumulated since the last refresh for the incremental path to apply:
-	// instead of re-ingesting the whole history window (~26k ticks for three
-	// months), the refresh clones the previously installed predictor and
-	// feeds it only the new ticks. Incremental results are byte-identical to
-	// a full recompute (enforced by TestIncrementalRefreshEquivalence); the
-	// cap only bounds the clone cost spent before falling back to the flat
-	// full scan. Zero selects DefaultIncrementalMaxTicks; negative disables
-	// the incremental path entirely.
-	IncrementalMaxTicks int
 	// Durable, when non-nil, receives the encoded serving state after every
 	// successful refresh (for crash recovery) and a retention-compaction
 	// request aligned with the history window. Persistence failures are
@@ -153,22 +143,22 @@ type Config struct {
 	OnEpoch func(*Epoch)
 }
 
-// DefaultIncrementalMaxTicks is the default cap on the incremental refresh
-// path: one day of 5-minute ticks. A refresh loop running anywhere near its
-// default 15-minute period accumulates ~3 ticks per cycle, so in steady
-// state every refresh is incremental; the cap only matters after long
-// outages, where a full recompute is no slower than replaying the gap.
-const DefaultIncrementalMaxTicks = 24 * 12
+// incrementalMaxTicks caps the tick gap the incremental refresh path
+// replays: one day of 5-minute ticks. Past it a combo is rebuilt from its
+// series, which is no slower than replaying the gap; either way the tables
+// and surfaces are byte-identical. A refresh loop near its 15-minute period
+// sees ~3 ticks per cycle, so the cap only matters after long outages or a
+// restore from an old snapshot.
+const incrementalMaxTicks = 24 * 12
 
 // Server computes and serves bid tables. A writer retains each combo's
 // online predictor for the incremental refresh path, the advise surfaces
 // and the snapshot; every request Handler serves is answered from the
 // installed epoch alone, so a replica answers identically.
 type Server struct {
-	cfg            Config
-	logger         *slog.Logger
-	metrics        *serviceMetrics
-	incrementalMax int
+	cfg     Config
+	logger  *slog.Logger
+	metrics *serviceMetrics
 
 	// role is "writer" or "replica"; epochSeq is the writer-local epoch
 	// counter (replicas mirror the writer's value on install). Both exist
@@ -210,6 +200,11 @@ type tableKey struct {
 	prob  float64
 }
 
+// blob is the key the epoch stores k's table and surface under.
+func (k tableKey) blob() blobKey {
+	return blobKey{zone: string(k.combo.Zone), typ: string(k.combo.Type), prob: probKey(k.prob)}
+}
+
 // New validates the configuration and returns a writer server with no
 // tables yet; call Refresh (or Start) to populate it. For a read-only
 // replication target, use NewReplica.
@@ -242,13 +237,6 @@ func newServer(cfg Config, role string) (*Server, error) {
 	if cfg.RefreshWorkers < 0 {
 		return nil, fmt.Errorf("service: negative refresh workers")
 	}
-	incrementalMax := cfg.IncrementalMaxTicks
-	switch {
-	case incrementalMax == 0:
-		incrementalMax = DefaultIncrementalMaxTicks
-	case incrementalMax < 0:
-		incrementalMax = 0 // disabled
-	}
 	if cfg.MaxConcurrent < 0 {
 		return nil, fmt.Errorf("service: negative max concurrent")
 	}
@@ -272,11 +260,10 @@ func newServer(cfg Config, role string) (*Server, error) {
 		logger = telemetry.NopLogger()
 	}
 	s := &Server{
-		cfg:            cfg,
-		logger:         logger,
-		metrics:        newServiceMetrics(cfg.Metrics),
-		incrementalMax: incrementalMax,
-		role:           role,
+		cfg:     cfg,
+		logger:  logger,
+		metrics: newServiceMetrics(cfg.Metrics),
+		role:    role,
 		breaker: resilience.NewBreaker(cfg.BreakerThreshold,
 			cfg.BreakerBackoff, cfg.BreakerMaxBackoff, time.Now().UnixNano()),
 		tables: make(map[tableKey]core.BidTable),
@@ -300,11 +287,12 @@ func newServer(cfg Config, role string) (*Server, error) {
 
 // Refresh recomputes every combo's bid tables from the current histories,
 // fanned out across RefreshWorkers goroutines (GOMAXPROCS by default).
-// Combos whose history advanced by at most IncrementalMaxTicks since the
+// Combos whose history advanced by at most a day of ticks since the
 // previous refresh take the incremental path: the installed predictor is
 // cloned and fed only the new ticks, producing byte-identical tables at a
-// fraction of the full-window cost. The fresh tables are then pre-encoded
-// into the next epoch and both are installed together.
+// fraction of the full-window cost. Each worker takes a combo's table and
+// advise surface from one escalation walk; both are then pre-encoded into
+// the next epoch and installed together.
 //
 // Refreshes are best-effort per combo: a predictor failure is counted,
 // logged, and surfaced through /healthz and the refresh metrics, but the
@@ -338,6 +326,7 @@ func (s *Server) Refresh() error {
 	combos := s.cfg.Source.Combos()
 	fresh := make(map[tableKey]core.BidTable, len(combos)*len(s.cfg.Probabilities))
 	freshPreds := make(map[tableKey]*core.Predictor, len(combos)*len(s.cfg.Probabilities))
+	freshSurfs := make(map[tableKey]*core.AdviseSurface, len(combos)*len(s.cfg.Probabilities))
 
 	// Snapshot the currently installed predictors for the incremental path.
 	// The map is replaced wholesale on install, never mutated in place, so
@@ -371,8 +360,8 @@ func (s *Server) Refresh() error {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	// One span covers the whole fan-out: the per-combo qbets updates and
-	// table builds run inside it (per-combo spans would blow the fixed
-	// span budget at fleet scale).
+	// table and surface builds run inside it (per-combo spans would blow
+	// the fixed span budget at fleet scale).
 	buildSpan := tr.StartSpan("tables.build")
 	work := make(chan spot.Combo)
 	for w := 0; w < workers; w++ {
@@ -416,10 +405,13 @@ func (s *Server) Refresh() error {
 						}
 						pred.ObserveSeries(series)
 					}
-					if table, ok := pred.Table(); ok {
+					if table, surf, ok := pred.TableAndSurface(); ok {
 						mu.Lock()
 						fresh[key] = table
 						freshPreds[key] = pred
+						if surf != nil {
+							freshSurfs[key] = surf
+						}
 						mu.Unlock()
 					} else {
 						mu.Lock()
@@ -447,19 +439,12 @@ func (s *Server) Refresh() error {
 		return s.refreshFailed(tr, fmt.Errorf("service: refresh produced no tables (%d failures, first: %w)", errCount, firstErr))
 	}
 
-	// Surfaces are built before asOf is stamped: their construction cost
-	// (a GuaranteeFor per escalation entry per table) must not age the
-	// epoch it describes.
-	surfSpan := tr.StartSpan("surfaces.build")
-	surfaces := buildSurfaces(fresh, freshPreds)
-	surfSpan.End()
-
 	now := time.Now().UTC()
 	errStr := ""
 	if errCount > 0 {
 		errStr = fmt.Sprintf("%d combo failures, last: %v", errCount, lastErr)
 	}
-	if err := s.publish(fresh, freshPreds, surfaces, now, errStr, tr); err != nil {
+	if err := s.publish(fresh, freshPreds, freshSurfs, now, errStr, tr); err != nil {
 		return s.refreshFailed(tr, fmt.Errorf("service: refresh failed: %w", err))
 	}
 	s.metrics.lastSuccess.SetTime(now)
@@ -491,7 +476,7 @@ func (s *Server) refreshFailed(tr *trace.Trace, err error) error {
 
 // extendPredictor attempts the incremental refresh path for one combo: if
 // the previously installed predictor has matching parameters and the series
-// has advanced by no more than incrementalMax ticks on the same grid, it
+// has advanced by no more than incrementalMaxTicks on the same grid, it
 // returns a clone of that predictor extended with exactly the new ticks.
 // Installed predictors are shared with in-flight reference scans and
 // snapshots and must never be mutated, which is why the clone is
@@ -503,14 +488,14 @@ func (s *Server) refreshFailed(tr *trace.Trace, err error) error {
 // byte-identical to a full recompute — TestIncrementalRefreshEquivalence
 // enforces this across randomized tick sequences.
 func (s *Server) extendPredictor(old *core.Predictor, want core.Params, series *history.Series) *core.Predictor {
-	if old == nil || s.incrementalMax <= 0 || old.Len() == 0 || old.Params() != want {
+	if old == nil || old.Len() == 0 || old.Params() != want {
 		return nil
 	}
 	// Map the predictor's watermark onto the series grid; the tick at
 	// next-1 must be exactly the predictor's latest observation time or the
 	// grids have diverged (source swapped, series rebuilt from scratch).
 	next := series.IndexOf(old.Now()) + 1
-	if next < 1 || next > series.Len() || series.Len()-next > s.incrementalMax {
+	if next < 1 || next > series.Len() || series.Len()-next > incrementalMaxTicks {
 		return nil
 	}
 	if !series.TimeAt(next - 1).Equal(old.Now()) {

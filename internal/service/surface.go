@@ -11,12 +11,13 @@ import (
 )
 
 // Advise surfaces ride the same epoch lifecycle as the pre-encoded table
-// blobs: the writer materializes one per (combo, probability) at refresh,
-// they are installed behind the same atomic pointer, shipped to replicas in
-// their canonical wire encoding, and rebuilt there bit-identically — so a
-// replica's /v1/advise and /v1/fleet answers are byte-for-byte the
-// writer's. This file holds the storage entry, the canonical wire codec,
-// and the cross-combo fleet index the /v1/fleet argmin runs over.
+// blobs: the writer builds one per (combo, probability) at refresh, in the
+// same escalation walk as the combo's table; they are installed behind the
+// same atomic pointer, shipped to replicas in their canonical wire
+// encoding, and rebuilt there bit-identically — so a replica's /v1/advise
+// and /v1/fleet answers are byte-for-byte the writer's. This file holds
+// the storage entry, the canonical wire codec, and the cross-combo fleet
+// index the /v1/fleet argmin runs over.
 
 // surfaceWireVersion versions the canonical surface encoding below.
 const surfaceWireVersion = 1
@@ -86,34 +87,18 @@ func decodeSurface(p []byte) (*core.AdviseSurface, error) {
 	return core.NewAdviseSurface(prob, step, bids, guar)
 }
 
-// buildSurfaces materializes one surface per table whose predictor is
-// available. A combo without one (a snapshot entry saved without its
-// predictor, or a surface past core's size bound) simply gets no surface,
-// and its advise requests answer 404 on every node.
-func buildSurfaces(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Predictor) map[blobKey]*surfaceEntry {
-	if len(preds) == 0 {
-		return nil
-	}
-	surfaces := make(map[blobKey]*surfaceEntry, len(tables))
-	for k := range tables {
-		pred := preds[k]
-		if pred == nil {
-			continue
-		}
-		surf, ok := pred.Surface()
-		if !ok {
-			continue
-		}
-		surfaces[blobKey{
-			zone: string(k.combo.Zone),
-			typ:  string(k.combo.Type),
-			prob: probKey(k.prob),
-		}] = &surfaceEntry{surf: surf, enc: encodeSurface(surf)}
-	}
+// encodeSurfaces renders each surface's canonical encoding under its
+// table's key: the serial half of surface assembly, after the refresh
+// workers (or a restore) built the surfaces themselves.
+func encodeSurfaces(surfaces map[tableKey]*core.AdviseSurface) map[blobKey]*surfaceEntry {
 	if len(surfaces) == 0 {
 		return nil
 	}
-	return surfaces
+	entries := make(map[blobKey]*surfaceEntry, len(surfaces))
+	for k, surf := range surfaces {
+		entries[k.blob()] = &surfaceEntry{surf: surf, enc: encodeSurface(surf)}
+	}
+	return entries
 }
 
 // buildFleetIndex groups surfaces by probability spelling and sorts each
