@@ -186,14 +186,11 @@ func Survival(s *history.Series, i int, bid float64) (steps int, censored bool) 
 }
 
 // Survives reports whether an instance launched at grid point i with the
-// given bid completes `need` grid steps before a price termination.
+// given bid completes `need` grid steps before a price termination. A run
+// that reaches the end of recorded history succeeds iff the recorded span
+// covers the requested duration.
 func Survives(s *history.Series, i int, bid float64, need int) bool {
-	steps, censored := Survival(s, i, bid)
-	if censored {
-		// It ran to the end of recorded history; success iff the recorded
-		// span covers the requested duration.
-		return steps >= need
-	}
+	steps, _ := Survival(s, i, bid)
 	return steps >= need
 }
 

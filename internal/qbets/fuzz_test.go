@@ -1,8 +1,6 @@
 package qbets
 
 import (
-	"bytes"
-	"math"
 	"sort"
 	"testing"
 )
@@ -84,66 +82,6 @@ func FuzzFenwickQuantile(f *testing.F) {
 		}
 		if fs.Len() != len(ref) {
 			t.Fatalf("failed Remove changed Len to %d, want %d", fs.Len(), len(ref))
-		}
-	})
-}
-
-// FuzzPersistRoundTrip feeds arbitrary bytes to the predictor state
-// decoder: it must never panic, and any state it accepts must re-encode
-// to a byte-identical document after a Save/Load/Save cycle — the
-// property that makes service restarts resume exactly where they stopped.
-func FuzzPersistRoundTrip(f *testing.F) {
-	// Seed with genuine saved states across config variants.
-	for _, cfg := range []Config{
-		{Kind: UpperBound, Quantile: 0.975, Confidence: 0.99},
-		{Kind: LowerBound, Quantile: 0.025, Confidence: 0.95, NoChangePoint: true},
-		{Kind: UpperBound, Quantile: 0.5, Confidence: 0.9, MaxHistory: 32, ChangePointWindow: 8},
-	} {
-		p, err := New(cfg)
-		if err != nil {
-			f.Fatal(err)
-		}
-		for i := 0; i < 100; i++ {
-			p.Observe(0.01 + 0.0001*float64(i%17))
-		}
-		var buf bytes.Buffer
-		if err := p.Save(&buf); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
-	f.Add([]byte(`{"version":1}`))
-	f.Add([]byte(`{"version":99}`))
-	f.Add([]byte(`not json`))
-	f.Add([]byte(``))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := Load(bytes.NewReader(data), nil)
-		if err != nil {
-			return
-		}
-		var first bytes.Buffer
-		if err := p.Save(&first); err != nil {
-			t.Fatalf("saving accepted state: %v", err)
-		}
-		p2, err := Load(bytes.NewReader(first.Bytes()), nil)
-		if err != nil {
-			t.Fatalf("reloading saved state: %v", err)
-		}
-		var second bytes.Buffer
-		if err := p2.Save(&second); err != nil {
-			t.Fatalf("re-saving reloaded state: %v", err)
-		}
-		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatalf("save/load/save not stable:\nfirst:  %s\nsecond: %s", first.Bytes(), second.Bytes())
-		}
-		if p.Len() != p2.Len() {
-			t.Fatalf("reload changed Len: %d vs %d", p.Len(), p2.Len())
-		}
-		b1, ok1 := p.Bound()
-		b2, ok2 := p2.Bound()
-		if ok1 != ok2 || (ok1 && b1 != b2 && !(math.IsNaN(b1) && math.IsNaN(b2))) {
-			t.Fatalf("reload changed Bound: %v/%v vs %v/%v", b1, ok1, b2, ok2)
 		}
 	})
 }

@@ -57,8 +57,9 @@ type blobKey struct {
 }
 
 // encodedTables is one refresh epoch's immutable pre-encoded serving state.
-// It is built once per refresh (or snapshot restore) and installed with an
-// atomic pointer swap; handlers treat every byte as read-only.
+// It is built once per refresh (or rebuilt from a replica ship or a
+// snapshot) and installed with an atomic pointer swap; handlers treat every
+// byte as read-only.
 type encodedTables struct {
 	seq    uint64 // epoch sequence number, for replication ordering
 	asOf   time.Time
@@ -240,10 +241,8 @@ func (et *encodedTables) attachViews(mappings map[string]obfuscate.Mapping) {
 // views into the next epoch and installs it together with the
 // authoritative maps behind it. An encoding failure installs nothing — the
 // previous epoch keeps serving — and is returned for the caller to record
-// as a failed refresh. A table without a surface (a snapshot entry saved
-// without its predictor, or a surface past core's size bound) gets none,
-// and its advise requests answer 404 on every node. Snapshot restores pass
-// a nil trace.
+// as a failed refresh. A table without a surface (one past core's size
+// bound) gets none, and its advise requests answer 404 on every node.
 func (s *Server) publish(tables map[tableKey]core.BidTable, preds map[tableKey]*core.Predictor, surfaces map[tableKey]*core.AdviseSurface, asOf time.Time, lastErr string, tr *trace.Trace) error {
 	began := time.Now()
 	sp := tr.StartSpan("blob.encode")

@@ -32,9 +32,10 @@ type BlobKey struct {
 // Epoch is an immutable snapshot of one blob-store generation: every
 // pre-encoded table body, the combo listing, and the epoch identity
 // (sequence number, asOf, ETag). The replication shipper serializes
-// Epochs onto the wire; receivers rebuild them with NewEpochFull and
-// install them with InstallEpoch. All byte slices are aliased, not copied —
-// callers must treat them as read-only, exactly like the handlers do.
+// Epochs onto the wire and the writer's snapshot persists them; receivers
+// and restores rebuild them with NewEpochFull and install them with
+// InstallEpoch. All byte slices are aliased, not copied — callers must
+// treat them as read-only, exactly like the handlers do.
 type Epoch struct {
 	et *encodedTables
 }

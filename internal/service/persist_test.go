@@ -2,15 +2,19 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/drafts-go/drafts/internal/history"
+	"github.com/drafts-go/drafts/internal/pricegen"
+	"github.com/drafts-go/drafts/internal/store"
 )
 
 // fetch returns the raw response body for a path on the test server.
@@ -216,10 +220,10 @@ func TestSnapshotRestoreServesSavedEpoch(t *testing.T) {
 }
 
 // TestRestoreThenRefreshMatchesFromScratch pins how a restored writer
-// catches up on the ticks that arrived after its snapshot: the first
-// refresh feeds them through the incremental path (or, past its cap,
-// rebuilds from the series), and then serves exactly what a server
-// computing from scratch over the grown store serves.
+// catches up on the ticks that arrived after its snapshot: it holds no
+// predictors, so the first refresh rebuilds every one from the grown
+// history and then serves exactly what a server computing from scratch
+// over that store serves, for tails short and long.
 func TestRestoreThenRefreshMatchesFromScratch(t *testing.T) {
 	for _, gap := range []int{12, incrementalMaxTicks + 1} {
 		t.Run(fmt.Sprintf("tail%d", gap), func(t *testing.T) {
@@ -243,12 +247,6 @@ func TestRestoreThenRefreshMatchesFromScratch(t *testing.T) {
 			}
 			if err := restored.RestoreSnapshot(payload); err != nil {
 				t.Fatal(err)
-			}
-			key := tableKey{combo: testCombos[0], prob: 0.99}
-			pred := restored.preds[key]
-			series, _ := hist.Full(testCombos[0])
-			if incremental := restored.extendPredictor(pred, pred.Params(), series) != nil; incremental != (gap <= incrementalMaxTicks) {
-				t.Fatalf("tail of %d ticks: incremental path taken = %v", gap, incremental)
 			}
 			if err := restored.Refresh(); err != nil {
 				t.Fatal(err)
@@ -278,13 +276,37 @@ func TestSnapshotRejectsDefects(t *testing.T) {
 		}
 		return s
 	}
-	for name, in := range map[string][]byte{
-		"garbage":     []byte("not json"),
-		"bad-version": []byte(`{"version":99,"entries":[{}]}`),
-		"empty":       []byte(`{"version":1,"entries":[]}`),
+	// A byte inside the first table body: the checksum covers it, and no
+	// other check reads it.
+	tampered := append([]byte(nil), payload...)
+	key := srv.CurrentEpoch().Keys()[0]
+	body, _ := srv.CurrentEpoch().Blob(key)
+	at := bytes.Index(tampered, body)
+	if at < 0 {
+		t.Fatal("table body not found in the snapshot")
+	}
+	tampered[at+len(body)/2] ^= 0x01
+	v1 := []byte(`{"version":1,"as_of":"2026-01-01T00:00:00Z","epoch_seq":1,"entries":[` +
+		`{"zone":"us-east-1b","instance_type":"c4.large","probability":0.99,` +
+		`"as_of":"2026-01-01T00:00:00Z","points":[{"bid_usd_per_hour":0.1,"guaranteed_duration_ns":3600000000000}]}]}`)
+	// want is a fragment the error must carry, for the cases only one
+	// check can catch.
+	for name, c := range map[string]struct {
+		in   []byte
+		want string
+	}{
+		"garbage":           {[]byte("not json"), "version"},
+		"bad-version":       {[]byte(`{"version":99,"entries":[{}]}`), "version"},
+		"empty":             {[]byte(`{"version":1,"entries":[]}`), "version"},
+		"v1-json":           {v1, "version 1"},
+		"no-bytes":          {nil, "empty"},
+		"checksum-mismatch": {tampered, "checksum mismatch"},
+		"truncated":         {payload[:len(payload)-1], "truncated"},
+		"trailing":          {append(append([]byte(nil), payload...), 0), "trailing"},
 	} {
-		if err := fresh().RestoreSnapshot(in); err == nil {
-			t.Errorf("RestoreSnapshot accepted %s", name)
+		err := fresh().RestoreSnapshot(c.in)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("RestoreSnapshot(%s) = %v, want an error mentioning %q", name, err, c.want)
 		}
 	}
 	if err := fresh().RestoreSnapshot(payload); err != nil {
@@ -387,4 +409,171 @@ func TestRefreshWorkersConfig(t *testing.T) {
 	if n != len(testCombos)*2 {
 		t.Fatalf("single-worker refresh built %d tables, want %d", n, len(testCombos)*2)
 	}
+}
+
+// snapshotChecksum reads the epoch checksum out of a version-2 header.
+func snapshotChecksum(p []byte) uint64 {
+	errLen := int(binary.LittleEndian.Uint32(p[17:21]))
+	return binary.LittleEndian.Uint64(p[21+errLen:])
+}
+
+// FuzzRestoreSnapshot holds the snapshot decoder to hostile bytes: no
+// payload may panic it, and every payload it accepts must install an
+// epoch whose checksum is the header's and that re-encodes to the same
+// bytes, the epoch counter (one higher after the restore's install) aside.
+func FuzzRestoreSnapshot(f *testing.F) {
+	st := history.NewStore()
+	if err := (pricegen.Generator{Seed: 7}).Populate(st, testCombos[:2], t0, 1500); err != nil {
+		f.Fatal(err)
+	}
+	srv, err := New(Config{Source: st, MaxHistory: 1500, Probabilities: []float64{0.99}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var seeds [][]byte
+	for i := 0; i < 2; i++ {
+		if err := srv.Refresh(); err != nil {
+			f.Fatal(err)
+		}
+		payload, err := srv.EncodeSnapshot()
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, payload)
+	}
+	srv.mu.Lock()
+	srv.lastErr = "1 combo failures, last: boom"
+	srv.mu.Unlock()
+	withErr, err := srv.EncodeSnapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, withErr)
+	for _, p := range seeds {
+		f.Add(p)
+		for _, n := range []int{0, 1, 9, 17, 30, len(p) / 2, len(p) - 1} {
+			f.Add(p[:n])
+		}
+		for _, at := range []int{0, 5, 13, 19, 25, len(p) / 3, len(p) - 2} {
+			flipped := append([]byte(nil), p...)
+			flipped[at] ^= 0x10
+			f.Add(flipped)
+		}
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		srv, err := New(Config{Source: history.NewStore()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.RestoreSnapshot(payload); err != nil {
+			return
+		}
+		ep := srv.CurrentEpoch()
+		if got, want := ep.Checksum(), snapshotChecksum(payload); got != want {
+			t.Fatalf("restored epoch checksum %x, header says %x", got, want)
+		}
+		again, err := srv.EncodeSnapshot()
+		if err != nil {
+			t.Fatalf("restored epoch does not re-encode: %v", err)
+		}
+		if seq, saved := binary.LittleEndian.Uint64(again[1:9]), binary.LittleEndian.Uint64(payload[1:9]); seq != saved+1 {
+			t.Fatalf("restored epoch %d, want the saved %d plus one", seq, saved)
+		}
+		if again[0] != payload[0] || !bytes.Equal(again[9:], payload[9:]) {
+			t.Fatalf("accepted snapshot does not re-encode to itself:\n in  %x\n out %x", payload, again)
+		}
+	})
+}
+
+// TestRecoveryThroughStore runs the whole warm restart over a real store:
+// a durable writer journals its history and refreshes twice, the store is
+// closed and reopened, and a new server replays the WAL and restores the
+// newest snapshot. It must serve the pre-close writer's bodies and ETag
+// above the saved epoch number, and after one refresh it must serve what a
+// server computing from scratch over the replayed history serves.
+func TestRecoveryThroughStore(t *testing.T) {
+	dir := t.TempDir()
+	// The whole log fits in one (active) segment, so the refreshes'
+	// retention compaction leaves it alone although t0 is years old.
+	st, err := store.Open(dir, store.Options{Fsync: store.FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist := testStore(t)
+	for _, c := range testCombos {
+		ser, _ := hist.Full(c)
+		if err := st.AppendSeries(c, ser); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writer, err := New(Config{Source: hist, MaxHistory: 9000, Durable: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	// Three ticks per combo between the refreshes, journaled as draftsd's
+	// pre-refresh hook journals them.
+	for _, c := range testCombos {
+		for i := 0; i < 3; i++ {
+			ser, _ := hist.Full(c)
+			price := ser.Prices[ser.Len()-1] * 1.1
+			hist.Append(c, t0, price)
+			if err := st.AppendTick(c, ser.TimeAt(ser.Len()), price); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := writer.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	saved := writer.CurrentEpoch()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(dir, store.Options{Fsync: store.FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	replayed, records, err := st2.ReplayHistory()
+	if err != nil || replayed == nil {
+		t.Fatalf("ReplayHistory: %d records, %v", records, err)
+	}
+	payload, ok, err := st2.LoadSnapshot()
+	if err != nil || !ok {
+		t.Fatalf("LoadSnapshot: ok=%v, %v", ok, err)
+	}
+	restored, err := New(Config{Source: replayed, MaxHistory: 9000, Durable: st2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.RestoreSnapshot(payload); err != nil {
+		t.Fatal(err)
+	}
+	if seq := restored.CurrentEpoch().Seq(); seq <= saved.Seq() {
+		t.Fatalf("restored writer at epoch %d, not above the saved %d", seq, saved.Seq())
+	}
+	checkSameBodies(t, writer.Handler(), restored.Handler(), true)
+	for _, target := range readTargets()[:2] {
+		_, before, _ := getBody(t, writer.Handler(), target)
+		_, after, _ := getBody(t, restored.Handler(), target)
+		if before.Get("Etag") == "" || before.Get("Etag") != after.Get("Etag") {
+			t.Errorf("GET %s: ETag %q before close, %q after restore", target, before.Get("Etag"), after.Get("Etag"))
+		}
+	}
+
+	if err := restored.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	scratch, err := New(Config{Source: replayed, MaxHistory: 9000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := scratch.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	checkSameBodies(t, restored.Handler(), scratch.Handler(), false)
 }

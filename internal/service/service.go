@@ -147,14 +147,13 @@ type Config struct {
 // replays: one day of 5-minute ticks. Past it a combo is rebuilt from its
 // series, which is no slower than replaying the gap; either way the tables
 // and surfaces are byte-identical. A refresh loop near its 15-minute period
-// sees ~3 ticks per cycle, so the cap only matters after long outages or a
-// restore from an old snapshot.
+// sees ~3 ticks per cycle, so the cap only matters after long outages.
 const incrementalMaxTicks = 24 * 12
 
 // Server computes and serves bid tables. A writer retains each combo's
-// online predictor for the incremental refresh path, the advise surfaces
-// and the snapshot; every request Handler serves is answered from the
-// installed epoch alone, so a replica answers identically.
+// online predictor for the incremental refresh path and the reference
+// scans; every request Handler serves is answered from the installed epoch
+// alone, so a replica answers identically.
 type Server struct {
 	cfg     Config
 	logger  *slog.Logger
@@ -186,8 +185,9 @@ type Server struct {
 	blobs atomic.Pointer[encodedTables]
 
 	// tables and preds are the writer's authoritative maps behind the
-	// installed epoch: the refresh path extends them, the snapshot saves
-	// them, and MarshalHandler's reference handlers read them.
+	// installed epoch: the refresh path extends them and MarshalHandler's
+	// reference handlers read them. A snapshot restore installs an epoch
+	// without them; the first refresh rebuilds both.
 	mu      sync.RWMutex
 	tables  map[tableKey]core.BidTable
 	preds   map[tableKey]*core.Predictor
@@ -462,9 +462,9 @@ func (s *Server) Refresh() error {
 	return nil
 }
 
-// refreshFailed records a refresh (or restore) that installed nothing:
-// the previous epoch keeps serving, /healthz reports the error, and the
-// staleness policy takes its course. It returns err.
+// refreshFailed records a refresh that installed nothing: the previous
+// epoch keeps serving, /healthz reports the error, and the staleness
+// policy takes its course. It returns err.
 func (s *Server) refreshFailed(tr *trace.Trace, err error) error {
 	tr.Fail(err)
 	s.metrics.refreshErrors.Inc()
@@ -478,10 +478,9 @@ func (s *Server) refreshFailed(tr *trace.Trace, err error) error {
 // the previously installed predictor has matching parameters and the series
 // has advanced by no more than incrementalMaxTicks on the same grid, it
 // returns a clone of that predictor extended with exactly the new ticks.
-// Installed predictors are shared with in-flight reference scans and
-// snapshots and must never be mutated, which is why the clone is
-// mandatory. A nil return means the caller must rebuild from the full
-// window.
+// Installed predictors are shared with in-flight reference scans and must
+// never be mutated, which is why the clone is mandatory. A nil return
+// means the caller must rebuild from the full window.
 //
 // The clone's lifetime observation sequence then equals what a fresh
 // predictor sees over the full series, making the resulting tables

@@ -89,7 +89,7 @@ func decodeSurface(p []byte) (*core.AdviseSurface, error) {
 
 // encodeSurfaces renders each surface's canonical encoding under its
 // table's key: the serial half of surface assembly, after the refresh
-// workers (or a restore) built the surfaces themselves.
+// workers built the surfaces themselves.
 func encodeSurfaces(surfaces map[tableKey]*core.AdviseSurface) map[blobKey]*surfaceEntry {
 	if len(surfaces) == 0 {
 		return nil
